@@ -254,12 +254,27 @@ class HttpBackend:
             text = data["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(text, str):
+            raise TransportError(f"completion content is {type(text).__name__}, not a string")
         usage = data.get("usage") or {}
+        if not isinstance(usage, dict):
+            raise TransportError(f"completion usage is {type(usage).__name__}, not an object")
         return BackendResponse(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=_token_count(usage, "prompt_tokens"),
+            completion_tokens=_token_count(usage, "completion_tokens"),
         )
+
+
+def _token_count(usage: dict, name: str) -> int:
+    """One count from a completion's usage; a null or missing count is 0."""
+    count = usage.get(name)
+    if count is None:
+        return 0
+    # bool is an int subclass, but true is no token count.
+    if type(count) is not int:
+        raise TransportError(f"usage {name} is not an integer: {count!r}")
+    return count
 
 
 def process_sparse(

@@ -1,11 +1,23 @@
 """End-to-end orchestration: ingest, route, process in parallel, write outputs.
 
-The CPU-heavy phases (masking and bucket merging) run on process pools that
-read their inputs through fork-inherited module state, so the only pickle
-traffic is the results; sparse groups are network-bound and run on a thread
-while the dense side computes. All aggregation happens in a fixed order, so
-output bytes never depend on the worker count. Platforms without the fork
-start method fall back to sequential compute with threaded LLM requests.
+Routing goes through ``routing.route()``, the one routing path. With
+``jobs > 1``, at least ``_PARALLEL_THRESHOLD`` records and the fork start
+method, ``run()`` hands it two process pools:
+
+- masking: records are masked on a pool and the skeletons passed to
+  ``route()``. On the 2-vCPU benchmark machine, turning this pool off moved
+  dense-40k ``parse_s_jN`` from 1.45-1.55 s to 1.72-2.02 s; on sparse-llm it
+  made no clear difference.
+- merging: ``fork_map_buckets`` is ``route()``'s bucket mapper. It engages
+  once there are at least ``_PARALLEL_THRESHOLD`` skeleton groups in more than
+  one bucket, and merges in process otherwise. Turning it off moved mixed-20k
+  ``parse_s_jN`` from 1.49-1.57 s to 1.78-2.13 s.
+
+Both pools read their inputs through fork-inherited module state, so the only
+pickle traffic is the results. Sparse groups are network-bound and run on a
+thread while the dense side computes. All aggregation happens in a fixed
+order, so output bytes never depend on the worker count. Platforms without the
+fork start method fall back to sequential compute with threaded LLM requests.
 """
 
 from __future__ import annotations
@@ -40,11 +52,12 @@ from .model import (
     SparseGroup,
     TemplateResult,
 )
-from .routing import RoutingStats, bucket_by_length, group_by_skeleton, merge_bucket
+from .routing import BucketOutcome, RoutingStats, route
 
 logger = logging.getLogger(__name__)
 
-#: Below this many records, process pools cost more than they save.
+#: Below this many records (masking) or skeleton groups (merging), process
+#: pools cost more than they save.
 _PARALLEL_THRESHOLD = 2000
 
 R = TypeVar("R")
@@ -90,9 +103,11 @@ def ingest(
 ) -> tuple[list[LogRecord], IngestStats]:
     """Read records from a raw log file or a structured CSV.
 
-    Raw input takes one record per line after header stripping; CSV input
-    reads the ``Content`` column. Blank lines are skipped and counted, and
-    undecodable bytes are replaced and counted rather than fatal.
+    Raw input takes one record per ``\n``-terminated line (a trailing ``\r``
+    dropped) after header stripping; CSV input reads the ``Content`` column.
+    Other characters that ``str.splitlines`` treats as line breaks stay inside
+    the record. Blank lines are skipped and counted, and undecodable bytes are
+    replaced and counted rather than fatal.
     """
     path = Path(path)
     if not path.is_file():
@@ -103,17 +118,21 @@ def ingest(
     text = data.decode("utf-8", errors="replace")
     decode_errors = text.count("\ufffd")
 
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+
     records: list[LogRecord] = []
     blank = 0
     if input_format == "raw":
-        for line in text.splitlines():
-            content = strip_header(line, compiled)
+        for line in lines:
+            content = strip_header(line.removesuffix("\r"), compiled)
             if not content.strip():
                 blank += 1
                 continue
             records.append(LogRecord.from_content(len(records), content))
     elif input_format == "csv":
-        blank += sum(1 for line in text.splitlines() if not line.strip())
+        blank += sum(1 for line in lines if not line.strip())
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None or "Content" not in reader.fieldnames:
             raise ConfigError(f"structured input {path} has no Content column")
@@ -151,7 +170,7 @@ def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
 def _fork_map(
     key: str,
     data,
-    worker: Callable[[int, int], R],
+    worker: Callable[[int, int], list[R]],
     total: int,
     jobs: int,
     what: str,
@@ -161,7 +180,8 @@ def _fork_map(
 
     The data is published under ``_FORK_STATE[key]`` before the pool forks,
     so workers read it from inherited memory; only results travel back.
-    Results are ordered by range, independent of completion order.
+    The workers' lists are concatenated in range order, independent of
+    completion order.
     """
     workers = _effective_workers(jobs)
     spans = _ranges(total, parts if parts is not None else workers * 4)
@@ -171,7 +191,7 @@ def _fork_map(
     # whole parent heap; the short-lived workers run without collection.
     gc.freeze()
     try:
-        out: list[R] = [None] * len(spans)  # type: ignore[list-item]
+        out: list[list[R]] = [[] for _ in spans]
         with ProcessPoolExecutor(max_workers=workers, initializer=gc.disable) as pool:
             futures = {
                 pool.submit(worker, start, end): index
@@ -182,28 +202,22 @@ def _fork_map(
                     out[index] = future.result()
                 except Exception as exc:
                     raise InternalInvariantError(f"{what} worker failed: {exc}") from exc
-        return out
+        return [item for part in out for item in part]
     finally:
         gc.unfreeze()
         _FORK_STATE.pop(key, None)
 
 
 def _mask_span(start: int, end: int) -> list[str]:
-    contents: list[str] = _FORK_STATE["contents"]
-    return [mask_message(content)[0] for content in contents[start:end]]
+    records: list[LogRecord] = _FORK_STATE["records"]
+    return [mask_message(record.content)[0] for record in records[start:end]]
 
 
 def _merge_span(start: int, end: int) -> list[tuple[list[tuple[str | None, list[str]]], list[str]]]:
-    buckets: list[LogBucket] = _FORK_STATE["buckets"]
-    config: RouterConfig = _FORK_STATE["merge_config"]
+    buckets, work = _FORK_STATE["merge"]
     outcomes = []
     for bucket in buckets[start:end]:
-        try:
-            dense, sparse = merge_bucket(bucket, config)
-        except Exception as exc:
-            raise InternalInvariantError(
-                f"routing failed in bucket of length {bucket.length}: {exc}"
-            ) from exc
+        dense, sparse = work(bucket)
         outcomes.append(
             (
                 [(d.anchor_key, [m.key for m in d.member_groups]) for d in dense],
@@ -213,101 +227,34 @@ def _merge_span(start: int, end: int) -> list[tuple[list[tuple[str | None, list[
     return outcomes
 
 
-def parallel_map_buckets(
+def fork_map_buckets(
     buckets: Sequence[LogBucket],
-    worker_count: int,
-    work_fn: Callable[[LogBucket], R],
-) -> list[R]:
-    """Apply work_fn to each bucket with up to worker_count workers.
+    work: Callable[[LogBucket], BucketOutcome],
+    jobs: int,
+) -> list[BucketOutcome]:
+    """A ``route()`` bucket mapper that merges on a fork-based process pool.
 
-    Results come back ordered by bucket (buckets arrive sorted by length), so
-    a single worker and many workers produce identical aggregates. A failing
-    work unit fails the whole run with the bucket named. With more than one
-    worker, work_fn must be picklable (a module-level function or a partial
-    over one).
+    Merging cost grows with the square of groups per bucket while the keys
+    shipped back stay small, so the pool only engages once groups abound and
+    there is more than one bucket to share out; otherwise buckets merge here,
+    in order. Workers return group keys, and the groups are rebuilt from the
+    parent's own buckets.
     """
-    if worker_count < 1:
-        raise ConfigError(f"worker count must be >= 1, got {worker_count}")
-    if not buckets:
-        return []
-    if worker_count == 1 or len(buckets) == 1:
-        results = []
-        for bucket in buckets:
-            try:
-                results.append(work_fn(bucket))
-            except Exception as exc:
-                raise InternalInvariantError(
-                    f"routing failed in bucket of length {bucket.length}: {exc}"
-                ) from exc
-        return results
-    out: list[R] = [None] * len(buckets)  # type: ignore[list-item]
-    with ProcessPoolExecutor(max_workers=_effective_workers(worker_count)) as pool:
-        futures = {pool.submit(work_fn, bucket): index for index, bucket in enumerate(buckets)}
-        for future, index in futures.items():
-            try:
-                out[index] = future.result()
-            except Exception as exc:
-                raise InternalInvariantError(
-                    f"routing failed in bucket of length {buckets[index].length}: {exc}"
-                ) from exc
-    return out
-
-
-def _route_records(
-    records: Sequence[LogRecord], config: RouterConfig, use_pool: bool
-) -> tuple[list[DenseGroup], list[SparseGroup], RoutingStats]:
-    contents = [record.content for record in records]
-    if use_pool:
-        skeletons: list[str] = []
-        for part in _fork_map("contents", contents, _mask_span, len(contents), config.jobs, "masking"):
-            skeletons.extend(part)
-    else:
-        skeletons = [mask_message(content)[0] for content in contents]
-
-    groups = group_by_skeleton(records, skeletons)
-    buckets = bucket_by_length(groups)
-    by_key = {group.key: group for group in groups}
-
-    dense: list[DenseGroup] = []
-    sparse: list[SparseGroup] = []
-    # Merging cost grows with the square of groups per bucket while the keys
-    # shipped back stay small, so the pool only engages once groups abound.
-    if use_pool and len(groups) >= _PARALLEL_THRESHOLD and len(buckets) > 1:
-        _FORK_STATE["merge_config"] = config
-        try:
-            # One task per bucket: buckets arrive sorted by length, so fixed
-            # ranges would hand all the crowded buckets to a single worker.
-            spans = _fork_map(
-                "buckets", buckets, _merge_span, len(buckets), config.jobs, "routing",
-                parts=len(buckets),
-            )
-        finally:
-            _FORK_STATE.pop("merge_config", None)
-        for span in spans:
-            for dense_keys, sparse_keys in span:
-                for anchor_key, member_keys in dense_keys:
-                    dense.append(
-                        DenseGroup(
-                            member_groups=tuple(by_key[key] for key in member_keys),
-                            anchor_key=anchor_key,
-                        )
-                    )
-                sparse.extend(SparseGroup(group=by_key[key]) for key in sparse_keys)
-    else:
-        outcomes = parallel_map_buckets(buckets, 1, partial(merge_bucket, config=config))
-        for bucket_dense, bucket_sparse in outcomes:
-            dense.extend(bucket_dense)
-            sparse.extend(bucket_sparse)
-
-    stats = RoutingStats(
-        skeleton_groups=len(groups),
-        buckets=len(buckets),
-        dense_groups=len(dense),
-        sparse_groups=len(sparse),
-        dense_records=sum(len(group.record_ids()) for group in dense),
-        sparse_records=sum(len(item.group.record_ids) for item in sparse),
+    if sum(len(bucket.groups) for bucket in buckets) < _PARALLEL_THRESHOLD or len(buckets) < 2:
+        return [work(bucket) for bucket in buckets]
+    # One task per bucket: buckets arrive sorted by length, so fixed ranges
+    # would hand all the crowded buckets to a single worker.
+    outcomes = _fork_map(
+        "merge", (buckets, work), _merge_span, len(buckets), jobs, "routing", parts=len(buckets)
     )
-    return dense, sparse, stats
+    by_key = {group.key: group for bucket in buckets for group in bucket.groups}
+    return [
+        (
+            [DenseGroup(tuple(by_key[key] for key in keys), anchor) for anchor, keys in dense_keys],
+            [SparseGroup(by_key[key]) for key in sparse_keys],
+        )
+        for dense_keys, sparse_keys in outcomes
+    ]
 
 
 def run(
@@ -328,7 +275,17 @@ def run(
     ledger = CostLedger()
     use_pool = config.jobs > 1 and len(records) >= _PARALLEL_THRESHOLD and _fork_ready()
 
-    dense, sparse, routing_stats = _route_records(records, config, use_pool)
+    if use_pool:
+        # The skeletons go straight into route(), so they die when it returns
+        # instead of living through extraction and writing.
+        dense, sparse, routing_stats = route(
+            records,
+            config,
+            _fork_map("records", records, _mask_span, len(records), config.jobs, "masking"),
+            partial(fork_map_buckets, jobs=config.jobs),
+        )
+    else:
+        dense, sparse, routing_stats = route(records, config)
     ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
     # Sparse groups wait on the network; run them while the dense side computes.

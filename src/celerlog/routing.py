@@ -5,6 +5,12 @@ Each bucket is an independent work unit. Inside a bucket the largest group
 their position-aware Jaccard similarity clears a dynamically chosen threshold
 and their verb set covers the anchor's. Groups left over once the anchor
 budget is spent become sparse groups.
+
+``route()`` is the one routing path, for library callers and ``pipeline.run``
+alike. It takes optional precomputed skeletons and an optional bucket mapper,
+which ``pipeline.run`` fills from its masking and merging process pools on
+large inputs. Either way it aggregates in bucket-length order and builds the
+``RoutingStats``, and a failing bucket fails the run with its length named.
 """
 
 from __future__ import annotations
@@ -137,7 +143,6 @@ def select_threshold(similarities: Sequence[float], config: RouterConfig) -> flo
 def merge_bucket(
     bucket: LogBucket,
     config: RouterConfig,
-    verb_lexicon: frozenset[str] | None = None,
     trace: list[MergeState] | None = None,
 ) -> tuple[list[DenseGroup], list[SparseGroup]]:
     """Run anchor-based merging over one bucket.
@@ -158,7 +163,7 @@ def merge_bucket(
 
     def verbs_of(group: SkeletonGroup) -> set[str]:
         if group.key not in verb_cache:
-            verb_cache[group.key] = extract_verbs(group.key, verb_lexicon)
+            verb_cache[group.key] = extract_verbs(group.key)
         return verb_cache[group.key]
 
     dense: list[DenseGroup] = []
@@ -193,10 +198,20 @@ def merge_bucket(
     return dense, sparse
 
 
+BucketOutcome = tuple[list[DenseGroup], list[SparseGroup]]
 BucketMapper = Callable[
-    [Sequence[LogBucket], Callable[[LogBucket], tuple[list[DenseGroup], list[SparseGroup]]]],
-    list[tuple[list[DenseGroup], list[SparseGroup]]],
+    [Sequence[LogBucket], Callable[[LogBucket], BucketOutcome]], list[BucketOutcome]
 ]
+
+
+def _merge_naming_bucket(bucket: LogBucket, config: RouterConfig) -> BucketOutcome:
+    """Merge one bucket; a failure fails the run with the bucket named."""
+    try:
+        return merge_bucket(bucket, config)
+    except Exception as exc:
+        raise InternalInvariantError(
+            f"routing failed in bucket of length {bucket.length}: {exc}"
+        ) from exc
 
 
 def route(
@@ -207,8 +222,10 @@ def route(
 ) -> tuple[list[DenseGroup], list[SparseGroup], RoutingStats]:
     """Partition records into dense and sparse groups.
 
-    Results are aggregated in bucket-length order, so the output is identical
-    no matter how the optional bucket mapper schedules the work.
+    ``skeletons``, when given, are the masked keys aligned with ``records``.
+    ``bucket_mapper(buckets, work)`` must return ``work(bucket)`` for every
+    bucket, in order; results are aggregated in bucket-length order, so the
+    output is identical no matter how the mapper schedules the work.
     """
     if config is None:
         config = RouterConfig()
@@ -217,7 +234,7 @@ def route(
 
     # A partial over the module-level function stays picklable, so mappers
     # backed by process pools can ship it to workers.
-    work = partial(merge_bucket, config=config)
+    work = partial(_merge_naming_bucket, config=config)
     if bucket_mapper is None:
         outcomes = [work(bucket) for bucket in buckets]
     else:

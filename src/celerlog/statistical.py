@@ -22,8 +22,10 @@ _MASK_TOKEN_SET = frozenset(MASK_TOKENS)
 _COMPOSITE = re.compile(r"<\*>[:=/]<\*>")
 
 
-def extract_signatures(group: DenseGroup) -> list[tuple[int, str]]:
+def extract_signatures(group: DenseGroup, contents: list[str]) -> list[tuple[int, str]]:
     """Column-scan a dense group into one (token length, template) per partition.
+
+    ``contents`` is ``group.distinct_contents()``.
 
     A position becomes a parameter when the group's distinct messages carry
     more than one value there, or when any member key masked it: the router
@@ -35,7 +37,7 @@ def extract_signatures(group: DenseGroup) -> list[tuple[int, str]]:
     for token, so more than one partition means something upstream broke.
     """
     partitions: dict[int, list[list[str]]] = {}
-    for content in group.distinct_contents():
+    for content in contents:
         tokens = content.split()
         partitions.setdefault(len(tokens), []).append(tokens)
     if len(partitions) > 1:
@@ -70,13 +72,13 @@ def extract_signatures(group: DenseGroup) -> list[tuple[int, str]]:
 
 
 def materialize_templates(
-    group: DenseGroup, signatures: list[tuple[int, str]]
+    contents: list[str], signatures: list[tuple[int, str]]
 ) -> dict[str, TemplateResult]:
     """Attach per-message parameters to the group's partition templates."""
     by_length = dict(signatures)
     results: dict[str, TemplateResult] = {}
     positions_cache: dict[int, tuple[int, ...]] = {}
-    for content in group.distinct_contents():
+    for content in contents:
         tokens = content.split()
         template = by_length[len(tokens)]
         positions = positions_cache.get(len(tokens))
@@ -95,7 +97,8 @@ def materialize_templates(
 
 def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
     """Derive one template per distinct message of a dense group."""
-    return materialize_templates(group, extract_signatures(group))
+    contents = group.distinct_contents()
+    return materialize_templates(contents, extract_signatures(group, contents))
 
 
 @lru_cache(maxsize=None)

@@ -332,3 +332,34 @@ class TestHttpBackend:
         assert results["weird isolated line"].source == SOURCE_ROLLBACK
         assert ledger.llm_invocations == 1
         assert ledger.tokens_consumed == 10
+
+    def test_null_token_counts_count_as_zero(self, stub_server):
+        _StubHandler.reply = {
+            "choices": [{"message": {"content": "1:\t42"}}],
+            "usage": {"prompt_tokens": None},
+        }
+        response = HttpBackend(stub_server, model="m").infer(build_prompt(["took 42 ms"]))
+        assert response.prompt_tokens == 0 and response.completion_tokens == 0
+
+    @pytest.mark.parametrize("count", ["12", 1.5, True, [3]])
+    def test_non_integer_token_count_is_transport_error(self, stub_server, count):
+        _StubHandler.reply = {
+            "choices": [{"message": {"content": "1:\t42"}}],
+            "usage": {"prompt_tokens": 4, "completion_tokens": count},
+        }
+        with pytest.raises(TransportError):
+            HttpBackend(stub_server, model="m").infer(build_prompt(["took 42 ms"]))
+
+    def test_null_content_rolls_back_through_process_sparse(self, stub_server):
+        _StubHandler.reply = {
+            "choices": [{"message": {"content": None}}],
+            "usage": {"prompt_tokens": 5, "completion_tokens": 5},
+        }
+        ledger = CostLedger()
+        results = process_sparse(
+            [sparse_group("weird isolated line", 0)], HttpBackend(stub_server, model="m"),
+            RouterConfig(jobs=1), ledger, max_retries=1, backoff_seconds=0.0,
+        )
+        assert results["weird isolated line"].source == SOURCE_ROLLBACK
+        assert ledger.llm_invocations == 2
+        assert ledger.tokens_consumed == 0

@@ -1,22 +1,24 @@
 import csv
+from functools import partial
 
 import pytest
 
+from celerlog import pipeline, routing
 from celerlog.llm import MockBackend
-from celerlog.model import ConfigError, CostLedger, RouterConfig
+from celerlog.model import ConfigError, CostLedger, InternalInvariantError, RouterConfig
 from celerlog.pipeline import (
     ParsedRecord,
     escape_parameters,
+    fork_map_buckets,
     ingest,
-    parallel_map_buckets,
     run,
     unescape_parameters,
     write_output,
 )
-from celerlog.routing import bucket_by_length, group_by_skeleton, merge_bucket
+from celerlog.routing import route
 from celerlog.model import LogRecord, TemplateResult
 from collections import Counter
-from corpus import fig5_lines, make_template_corpus
+from corpus import fig4_lines, fig5_lines, make_template_corpus
 
 
 def write_lines(path, lines):
@@ -65,49 +67,68 @@ class TestIngest:
         assert stats.record_count == 2
         assert stats.decode_errors == 2
 
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_one_record_per_newline_terminated_line(self, tmp_path, separator):
+        path = tmp_path / "in.log"
+        path.write_bytes(f"a b{separator}c d\r\nx y z\nlast line\n".encode("utf-8"))
+        records, stats = ingest(path)
+        assert [r.content for r in records] == [f"a b{separator}c d", "x y z", "last line"]
+        assert stats.blank_lines == 0
+
     def test_header_pattern_applied_to_raw(self, tmp_path):
         path = write_lines(tmp_path / "in.log", ["INFO worker ready", "WARN worker busy"])
         records, _ = ingest(path, header_pattern=r"^\w+ (?P<content>.*)$")
         assert [r.content for r in records] == ["worker ready", "worker busy"]
 
 
-class TestParallelMapBuckets:
-    def _buckets(self, n):
-        lines = [f"alpha{i} beta{i} gamma{i} delta{i} word{i}" for i in range(n)]
+def routed_keys(routed):
+    dense, sparse, stats = routed
+    return (
+        [(group.anchor_key, [m.key for m in group.member_groups]) for group in dense],
+        [item.group.key for item in sparse],
+        stats,
+    )
+
+
+class TestForkMapBuckets:
+    def test_pool_matches_sequential_route(self, monkeypatch):
+        lines, _ = make_template_corpus(
+            n_lines=3000, n_templates=20, n_oneoffs=2400, seed=5, oneoff_lengths=(4, 40)
+        )
+        records = [LogRecord.from_content(i, line) for i, line in enumerate(lines + fig4_lines())]
+        sequential = route(records)
+        stats = sequential[2]
+        assert stats.skeleton_groups >= 2000 and stats.buckets >= 2
+        assert stats.sparse_groups > 0
+        assert any(len(group.member_groups) > 1 for group in sequential[0])
+        pools = []
+        fork_map = pipeline._fork_map
+
+        def spy(key, *args, **kwargs):
+            pools.append(key)
+            return fork_map(key, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_fork_map", spy)
+        pooled = route(records, bucket_mapper=partial(fork_map_buckets, jobs=2))
+        assert pools == ["merge"]
+        assert routed_keys(pooled) == routed_keys(sequential)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_failure_names_bucket(self, monkeypatch, jobs):
+        lines, _ = make_template_corpus(
+            n_lines=2500, n_templates=10, n_oneoffs=2100, seed=5, oneoff_lengths=(5, 7)
+        )
         records = [LogRecord.from_content(i, line) for i, line in enumerate(lines)]
-        return bucket_by_length(group_by_skeleton(records))
 
-    def test_worker_counts_agree(self):
-        from functools import partial
-
-        lines, _ = make_template_corpus(n_lines=200, n_templates=10, n_oneoffs=10, seed=3)
-        records = [LogRecord.from_content(i, line) for i, line in enumerate(lines)]
-        buckets = bucket_by_length(group_by_skeleton(records))
-        work = partial(merge_bucket, config=RouterConfig())
-
-        sequential = parallel_map_buckets(buckets, 1, work)
-        parallel = parallel_map_buckets(buckets, 8, work)
-        assert [
-            ([tuple(m.key for m in d.member_groups) for d in dense],
-             [s.group.key for s in sparse])
-            for dense, sparse in sequential
-        ] == [
-            ([tuple(m.key for m in d.member_groups) for d in dense],
-             [s.group.key for s in sparse])
-            for dense, sparse in parallel
-        ]
-
-    def test_empty(self):
-        assert parallel_map_buckets([], 4, lambda b: b) == []
-
-    def test_failure_names_bucket(self):
-        buckets = self._buckets(2)
-
-        def explode(bucket):
+        def explode(bucket, config):
             raise ValueError("boom")
 
-        with pytest.raises(Exception, match="length"):
-            parallel_map_buckets(buckets, 1, explode)
+        monkeypatch.setattr(routing, "merge_bucket", explode)
+        mapper = None if jobs is None else partial(fork_map_buckets, jobs=jobs)
+        with pytest.raises(InternalInvariantError, match="bucket of length 4: boom"):
+            route(records, bucket_mapper=mapper)
 
 
 class TestRun:

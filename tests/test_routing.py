@@ -262,14 +262,14 @@ class TestRoute:
                 assert anchor_verbs <= extract_verbs(member.key)
 
     def test_composes_with_parallel_bucket_mapper(self):
-        from celerlog.pipeline import parallel_map_buckets
+        from functools import partial
+
+        from celerlog.pipeline import fork_map_buckets
 
         lines, _ = make_template_corpus(n_lines=300, n_templates=10, n_oneoffs=20, seed=6)
         records = records_of(lines)
         sequential = route(records)
-        parallel = route(
-            records, bucket_mapper=lambda buckets, fn: parallel_map_buckets(buckets, 4, fn)
-        )
+        parallel = route(records, bucket_mapper=partial(fork_map_buckets, jobs=4))
         assert [s.group.key for s in sequential[1]] == [s.group.key for s in parallel[1]]
         assert [
             [m.key for m in g.member_groups] for g in sequential[0]
