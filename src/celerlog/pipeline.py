@@ -2,18 +2,14 @@
 
 Routing goes through ``routing.route()``, the one routing path. With
 ``jobs > 1``, at least ``_PARALLEL_THRESHOLD`` records and the fork start
-method, ``run()`` hands it two process pools:
+method, records are masked on a process pool and the skeletons passed to
+``route()``. On the 2-vCPU benchmark machine, turning this pool off moved
+dense-40k ``parse_s_jN`` from 1.45-1.55 s to 1.72-2.02 s; on sparse-llm it
+made no clear difference. Merging runs in process: with the position index
+in ``merge_bucket`` it costs less than a pool's forks and result pickling
+(README "Notes on parallelism" has the measurements).
 
-- masking: records are masked on a pool and the skeletons passed to
-  ``route()``. On the 2-vCPU benchmark machine, turning this pool off moved
-  dense-40k ``parse_s_jN`` from 1.45-1.55 s to 1.72-2.02 s; on sparse-llm it
-  made no clear difference.
-- merging: ``fork_map_buckets`` is ``route()``'s bucket mapper. It engages
-  once there are at least ``_PARALLEL_THRESHOLD`` skeleton groups in more than
-  one bucket, and merges in process otherwise. Turning it off moved mixed-20k
-  ``parse_s_jN`` from 1.49-1.57 s to 1.78-2.13 s.
-
-Both pools read their inputs through fork-inherited module state, so the only
+The pool reads its input through fork-inherited module state, so the only
 pickle traffic is the results. Sparse groups are network-bound and run on a
 thread while the dense side computes. All aggregation happens in a fixed
 order, so output bytes never depend on the worker count. Platforms without the
@@ -29,12 +25,10 @@ import json
 import logging
 import multiprocessing
 import os
-import re
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Sequence, TypeVar
@@ -44,20 +38,16 @@ from .masking import compile_header_pattern, mask_message, strip_header
 from .model import (
     ConfigError,
     CostLedger,
-    DenseGroup,
     InternalInvariantError,
-    LogBucket,
     LogRecord,
     RouterConfig,
-    SparseGroup,
     TemplateResult,
 )
-from .routing import BucketOutcome, RoutingStats, route
+from .routing import RoutingStats, route
 
 logger = logging.getLogger(__name__)
 
-#: Below this many records (masking) or skeleton groups (merging), process
-#: pools cost more than they save.
+#: Below this many records the masking pool costs more than it saves.
 _PARALLEL_THRESHOLD = 2000
 
 R = TypeVar("R")
@@ -174,17 +164,17 @@ def _fork_map(
     total: int,
     jobs: int,
     what: str,
-    parts: int | None = None,
 ) -> list[R]:
     """Run ``worker(start, end)`` over index ranges of fork-inherited data.
 
     The data is published under ``_FORK_STATE[key]`` before the pool forks,
     so workers read it from inherited memory; only results travel back.
     The workers' lists are concatenated in range order, independent of
-    completion order.
+    completion order. The first failed range cancels the ranges not yet
+    started and raises at once, without waiting for the running ones.
     """
     workers = _effective_workers(jobs)
-    spans = _ranges(total, parts if parts is not None else workers * 4)
+    spans = _ranges(total, workers * 4)
     _FORK_STATE[key] = data
     # Freezing the heap keeps the children's collector from writing GC headers
     # across every inherited page, which would otherwise copy-on-write the
@@ -192,7 +182,8 @@ def _fork_map(
     gc.freeze()
     try:
         out: list[list[R]] = [[] for _ in spans]
-        with ProcessPoolExecutor(max_workers=workers, initializer=gc.disable) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.disable)
+        try:
             futures = {
                 pool.submit(worker, start, end): index
                 for index, (start, end) in enumerate(spans)
@@ -202,6 +193,11 @@ def _fork_map(
                     out[index] = future.result()
                 except Exception as exc:
                     raise InternalInvariantError(f"{what} worker failed: {exc}") from exc
+        except BaseException:
+            # A context manager would wait here for every submitted range.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
         return [item for part in out for item in part]
     finally:
         gc.unfreeze()
@@ -211,50 +207,6 @@ def _fork_map(
 def _mask_span(start: int, end: int) -> list[str]:
     records: list[LogRecord] = _FORK_STATE["records"]
     return [mask_message(record.content)[0] for record in records[start:end]]
-
-
-def _merge_span(start: int, end: int) -> list[tuple[list[tuple[str | None, list[str]]], list[str]]]:
-    buckets, work = _FORK_STATE["merge"]
-    outcomes = []
-    for bucket in buckets[start:end]:
-        dense, sparse = work(bucket)
-        outcomes.append(
-            (
-                [(d.anchor_key, [m.key for m in d.member_groups]) for d in dense],
-                [s.group.key for s in sparse],
-            )
-        )
-    return outcomes
-
-
-def fork_map_buckets(
-    buckets: Sequence[LogBucket],
-    work: Callable[[LogBucket], BucketOutcome],
-    jobs: int,
-) -> list[BucketOutcome]:
-    """A ``route()`` bucket mapper that merges on a fork-based process pool.
-
-    Merging cost grows with the square of groups per bucket while the keys
-    shipped back stay small, so the pool only engages once groups abound and
-    there is more than one bucket to share out; otherwise buckets merge here,
-    in order. Workers return group keys, and the groups are rebuilt from the
-    parent's own buckets.
-    """
-    if sum(len(bucket.groups) for bucket in buckets) < _PARALLEL_THRESHOLD or len(buckets) < 2:
-        return [work(bucket) for bucket in buckets]
-    # One task per bucket: buckets arrive sorted by length, so fixed ranges
-    # would hand all the crowded buckets to a single worker.
-    outcomes = _fork_map(
-        "merge", (buckets, work), _merge_span, len(buckets), jobs, "routing", parts=len(buckets)
-    )
-    by_key = {group.key: group for bucket in buckets for group in bucket.groups}
-    return [
-        (
-            [DenseGroup(tuple(by_key[key] for key in keys), anchor) for anchor, keys in dense_keys],
-            [SparseGroup(by_key[key]) for key in sparse_keys],
-        )
-        for dense_keys, sparse_keys in outcomes
-    ]
 
 
 def run(
@@ -282,7 +234,6 @@ def run(
             records,
             config,
             _fork_map("records", records, _mask_span, len(records), config.jobs, "masking"),
-            partial(fork_map_buckets, jobs=config.jobs),
         )
     else:
         dense, sparse, routing_stats = route(records, config)
@@ -353,14 +304,29 @@ def run(
 
 
 def escape_parameters(parameters: Sequence[str]) -> str:
-    return "|".join(parameter.replace("|", "\\|") for parameter in parameters)
+    """Join parameters with ``|``, escaping ``\\`` as ``\\\\`` and ``|`` as ``\\|``."""
+    return "|".join(
+        parameter.replace("\\", "\\\\").replace("|", "\\|") for parameter in parameters
+    )
 
 
 def unescape_parameters(text: str) -> list[str]:
+    """Split ``escape_parameters`` output back into the parameters it joined."""
     if not text:
         return []
-    pieces = re.split(r"(?<!\\)\|", text)
-    return [piece.replace("\\|", "|") for piece in pieces]
+    parameters: list[str] = []
+    current: list[str] = []
+    chars = iter(text)
+    for char in chars:
+        if char == "|":
+            parameters.append("".join(current))
+            current = []
+        elif char == "\\":
+            current.append(next(chars, char))
+        else:
+            current.append(char)
+    parameters.append("".join(current))
+    return parameters
 
 
 def write_output(

@@ -4,21 +4,26 @@ Each bucket is an independent work unit. Inside a bucket the largest group
 (by distinct messages) anchors a merge round: candidates join the anchor when
 their position-aware Jaccard similarity clears a dynamically chosen threshold
 and their verb set covers the anchor's. Groups left over once the anchor
-budget is spent become sparse groups.
+budget is spent become sparse groups. Each bucket is indexed once by
+(position, token), so an anchor round reads the anchor's posting lists
+instead of comparing the anchor with every candidate (the token-position
+idea of Drain's fixed-depth tree).
 
 ``route()`` is the one routing path, for library callers and ``pipeline.run``
-alike. It takes optional precomputed skeletons and an optional bucket mapper,
-which ``pipeline.run`` fills from its masking and merging process pools on
-large inputs. Either way it aggregates in bucket-length order and builds the
-``RoutingStats``, and a failing bucket fails the run with its length named.
+alike. It takes optional precomputed skeletons, which ``pipeline.run`` fills
+from its masking pool on large inputs, merges the buckets in length order and
+builds the ``RoutingStats``; a failing bucket fails the run with its length
+named.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .masking import extract_verbs, mask_message
 from .model import (
@@ -104,38 +109,20 @@ def bucket_by_length(groups: Iterable[SkeletonGroup]) -> list[LogBucket]:
     ]
 
 
-def pos_jaccard(a: Sequence[str], b: Sequence[str]) -> float:
-    """Jaccard similarity over (position, token) pairs of two equal-length keys.
-
-    With ``m`` matching positions out of ``L`` this equals ``m / (2L - m)``,
-    so tokens appearing at different indices never count as shared.
-    """
-    if len(a) != len(b):
-        raise InternalInvariantError(
-            f"position-aware Jaccard needs equal lengths, got {len(a)} and {len(b)}"
-        )
-    matches = sum(1 for x, y in zip(a, b) if x == y)
-    return matches / (2 * len(a) - matches)
-
-
-def singleton_ratio(similarities: Sequence[float], tau: float) -> float:
-    """Fraction of candidate scores that fall below the threshold."""
-    if not similarities:
-        return 0.0
-    return sum(1 for score in similarities if score < tau) / len(similarities)
-
-
 def select_threshold(similarities: Sequence[float], config: RouterConfig) -> float:
     """Pick the merge threshold from the singleton ratio curve.
 
-    Sweep tau upward over the grid; at the first grid point where the ratio
-    reaches the quantile limit, back off one step (clamped to the lower
-    bound). If the limit is never reached the sweep's upper bound wins.
+    The singleton ratio at ``tau`` is the fraction of candidate scores below
+    it. Sweep tau upward over the grid; at the first grid point where the
+    ratio reaches the quantile limit, back off one step (clamped to the lower
+    bound). If the limit is never reached the sweep's upper bound wins. One
+    sort lets each grid point count the scores below it by bisection.
     """
+    ordered = sorted(similarities)
     steps = int(math.floor((config.tau_max - config.tau_min) / config.tau_step + 1e-9))
     for i in range(steps + 1):
         tau = round(config.tau_min + i * config.tau_step, 12)
-        if singleton_ratio(similarities, tau) >= config.p_quantile:
+        if ordered and bisect_left(ordered, tau) / len(ordered) >= config.p_quantile:
             return max(round(tau - config.tau_step, 12), config.tau_min)
     return config.tau_max
 
@@ -153,96 +140,99 @@ def merge_bucket(
     (ties broken by key) until the bucket empties or the anchor budget
     ``K = floor(alpha * |bucket|)`` is spent; whatever remains is sparse.
     An anchor that merges nothing is still emitted as a dense group.
+
+    A candidate's score is the position-aware Jaccard similarity of the two
+    keys: with ``m`` of the ``L`` positions holding the same token it is
+    ``m / (2L - m)``. The bucket is indexed once by (position, token), so
+    each anchor round counts ``m`` for every candidate from the anchor's
+    ``L`` posting lists instead of comparing the anchor with each candidate;
+    a candidate sharing no position scores 0.
     """
     if bucket.length <= config.bypass_length or len(bucket.groups) <= config.bypass_group_count:
         return [DenseGroup(member_groups=(group,)) for group in bucket.groups], []
 
-    remaining = sorted(bucket.groups, key=lambda g: (-g.unique_count, g.key))
-    k_limit = max(1, int(config.alpha * len(remaining) + 1e-9))
-    verb_cache: dict[str, set[str]] = {}
+    ordered = sorted(bucket.groups, key=lambda g: (-g.unique_count, g.key))
+    k_limit = max(1, int(config.alpha * len(ordered) + 1e-9))
+    postings: dict[tuple[int, str], list[int]] = {}
+    for index, group in enumerate(ordered):
+        for slot in enumerate(group.key_tokens):
+            postings.setdefault(slot, []).append(index)
+    double_length = 2 * bucket.length
+    verb_cache: dict[int, set[str]] = {}
 
-    def verbs_of(group: SkeletonGroup) -> set[str]:
-        if group.key not in verb_cache:
-            verb_cache[group.key] = extract_verbs(group.key)
-        return verb_cache[group.key]
+    def verbs_of(index: int) -> set[str]:
+        if index not in verb_cache:
+            verb_cache[index] = extract_verbs(ordered[index].key)
+        return verb_cache[index]
 
+    # Indices into ``ordered`` of the groups not merged yet; the next anchor
+    # is always the lowest of them.
+    alive = set(range(len(ordered)))
+    anchor = 0
     dense: list[DenseGroup] = []
-    while remaining and len(dense) < k_limit:
-        anchor = remaining[0]
-        candidates = remaining[1:]
-        similarities = {
-            candidate.key: pos_jaccard(anchor.key_tokens, candidate.key_tokens)
-            for candidate in candidates
-        }
-        tau = select_threshold(list(similarities.values()), config) if candidates else config.tau_max
+    while alive and len(dense) < k_limit:
+        while anchor not in alive:
+            anchor += 1
+        alive.remove(anchor)
+        matches = Counter(
+            chain.from_iterable(postings[slot] for slot in enumerate(ordered[anchor].key_tokens))
+        )
+        scores = {index: m / (double_length - m) for index, m in matches.items() if index in alive}
+        # Candidates missing from ``scores`` score 0, which clears only tau 0.
+        zeros = [0.0] * (len(alive) - len(scores))
+        tau = select_threshold(zeros + list(scores.values()), config)
+        hits = sorted(alive) if tau <= 0.0 else sorted(i for i, s in scores.items() if s >= tau)
         anchor_verbs = verbs_of(anchor)
-        matched = [anchor]
-        for candidate in candidates:
-            if similarities[candidate.key] >= tau and anchor_verbs <= verbs_of(candidate):
-                matched.append(candidate)
-        dense.append(DenseGroup(member_groups=tuple(matched), anchor_key=anchor.key))
+        matched = [anchor] + [index for index in hits if anchor_verbs <= verbs_of(index)]
+        dense.append(
+            DenseGroup(
+                member_groups=tuple(ordered[index] for index in matched),
+                anchor_key=ordered[anchor].key,
+            )
+        )
         if trace is not None:
             trace.append(
                 MergeState(
-                    anchor_key=anchor.key,
-                    similarities=similarities,
+                    anchor_key=ordered[anchor].key,
+                    similarities={
+                        ordered[index].key: scores.get(index, 0.0) for index in sorted(alive)
+                    },
                     tau=tau,
                     k_limit=k_limit,
                     dense_emitted=len(dense),
                 )
             )
-        matched_keys = {group.key for group in matched}
-        remaining = [group for group in remaining if group.key not in matched_keys]
+        alive.difference_update(matched)
 
-    sparse = [SparseGroup(group=group) for group in remaining]
+    sparse = [SparseGroup(group=ordered[index]) for index in sorted(alive)]
     return dense, sparse
-
-
-BucketOutcome = tuple[list[DenseGroup], list[SparseGroup]]
-BucketMapper = Callable[
-    [Sequence[LogBucket], Callable[[LogBucket], BucketOutcome]], list[BucketOutcome]
-]
-
-
-def _merge_naming_bucket(bucket: LogBucket, config: RouterConfig) -> BucketOutcome:
-    """Merge one bucket; a failure fails the run with the bucket named."""
-    try:
-        return merge_bucket(bucket, config)
-    except Exception as exc:
-        raise InternalInvariantError(
-            f"routing failed in bucket of length {bucket.length}: {exc}"
-        ) from exc
 
 
 def route(
     records: Sequence[LogRecord],
     config: RouterConfig | None = None,
     skeletons: Sequence[str] | None = None,
-    bucket_mapper: BucketMapper | None = None,
 ) -> tuple[list[DenseGroup], list[SparseGroup], RoutingStats]:
     """Partition records into dense and sparse groups.
 
     ``skeletons``, when given, are the masked keys aligned with ``records``.
-    ``bucket_mapper(buckets, work)`` must return ``work(bucket)`` for every
-    bucket, in order; results are aggregated in bucket-length order, so the
-    output is identical no matter how the mapper schedules the work.
+    Buckets merge in length order, and a failing bucket fails the run with
+    its length named.
     """
     if config is None:
         config = RouterConfig()
     groups = group_by_skeleton(records, skeletons)
     buckets = bucket_by_length(groups)
 
-    # A partial over the module-level function stays picklable, so mappers
-    # backed by process pools can ship it to workers.
-    work = partial(_merge_naming_bucket, config=config)
-    if bucket_mapper is None:
-        outcomes = [work(bucket) for bucket in buckets]
-    else:
-        outcomes = bucket_mapper(buckets, work)
-
     dense: list[DenseGroup] = []
     sparse: list[SparseGroup] = []
-    for bucket_dense, bucket_sparse in outcomes:
+    for bucket in buckets:
+        try:
+            bucket_dense, bucket_sparse = merge_bucket(bucket, config)
+        except Exception as exc:
+            raise InternalInvariantError(
+                f"routing failed in bucket of length {bucket.length}: {exc}"
+            ) from exc
         dense.extend(bucket_dense)
         sparse.extend(bucket_sparse)
 

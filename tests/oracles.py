@@ -1,10 +1,23 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here favours obviousness over speed: pairwise scans, per-record
-set rebuilds, no shared helpers with the package under test.
+set rebuilds, no shared helpers with the package under test. The reference
+merge borrows only the package's data types and its verb extractor.
 """
 
 from __future__ import annotations
+
+import math
+
+from celerlog.masking import extract_verbs
+from celerlog.model import (
+    DenseGroup,
+    InternalInvariantError,
+    LogBucket,
+    RouterConfig,
+    SparseGroup,
+)
+from celerlog.routing import MergeState
 
 MASK_TOKENS = ("<NUM>", "<CL>", "<UCL>", "<BL>", "<SL>")
 
@@ -93,3 +106,69 @@ def naive_fga(pred: dict[int, str], gt: dict[int, str]) -> float:
 
 def naive_fta(pred: dict[int, str], gt: dict[int, str]) -> float:
     return _naive_template_matches(pred, gt, with_text=True)
+
+
+def pos_jaccard(a, b) -> float:
+    """Jaccard similarity over (position, token) pairs of two equal-length keys.
+
+    With ``m`` matching positions out of ``L`` this equals ``m / (2L - m)``,
+    so tokens appearing at different indices never count as shared.
+    """
+    if len(a) != len(b):
+        raise InternalInvariantError(
+            f"position-aware Jaccard needs equal lengths, got {len(a)} and {len(b)}"
+        )
+    matches = sum(1 for x, y in zip(a, b) if x == y)
+    return matches / (2 * len(a) - matches)
+
+
+def singleton_ratio(similarities: list[float], tau: float) -> float:
+    """Fraction of candidate scores that fall below the threshold."""
+    if not similarities:
+        return 0.0
+    return sum(1 for score in similarities if score < tau) / len(similarities)
+
+
+def naive_select_threshold(similarities: list[float], config: RouterConfig) -> float:
+    """The threshold sweep, recounting the singleton ratio at every grid point."""
+    steps = int(math.floor((config.tau_max - config.tau_min) / config.tau_step + 1e-9))
+    for i in range(steps + 1):
+        tau = round(config.tau_min + i * config.tau_step, 12)
+        if singleton_ratio(similarities, tau) >= config.p_quantile:
+            return max(round(tau - config.tau_step, 12), config.tau_min)
+    return config.tau_max
+
+
+def naive_merge_bucket(bucket: LogBucket, config: RouterConfig):
+    """Anchor merging that scores every candidate against every anchor.
+
+    Returns the dense groups, the sparse groups and one ``MergeState`` per
+    anchor round, as ``routing.merge_bucket`` with a trace list does.
+    """
+    if bucket.length <= config.bypass_length or len(bucket.groups) <= config.bypass_group_count:
+        return [DenseGroup(member_groups=(group,)) for group in bucket.groups], [], []
+    remaining = sorted(bucket.groups, key=lambda g: (-g.unique_count, g.key))
+    k_limit = max(1, int(config.alpha * len(remaining) + 1e-9))
+    dense = []
+    states = []
+    while remaining and len(dense) < k_limit:
+        anchor = remaining[0]
+        candidates = remaining[1:]
+        similarities = {
+            candidate.key: pos_jaccard(anchor.key_tokens, candidate.key_tokens)
+            for candidate in candidates
+        }
+        if candidates:
+            tau = naive_select_threshold(list(similarities.values()), config)
+        else:
+            tau = config.tau_max
+        matched = [anchor]
+        for candidate in candidates:
+            if similarities[candidate.key] >= tau and extract_verbs(anchor.key) <= extract_verbs(
+                candidate.key
+            ):
+                matched.append(candidate)
+        dense.append(DenseGroup(member_groups=tuple(matched), anchor_key=anchor.key))
+        states.append(MergeState(anchor.key, similarities, tau, k_limit, len(dense)))
+        remaining = [group for group in remaining if group not in matched]
+    return dense, [SparseGroup(group=group) for group in remaining], states

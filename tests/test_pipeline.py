@@ -1,24 +1,24 @@
 import csv
-from functools import partial
+import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from celerlog import pipeline, routing
+from celerlog import pipeline
 from celerlog.llm import MockBackend
 from celerlog.model import ConfigError, CostLedger, InternalInvariantError, RouterConfig
 from celerlog.pipeline import (
     ParsedRecord,
     escape_parameters,
-    fork_map_buckets,
     ingest,
     run,
     unescape_parameters,
     write_output,
 )
-from celerlog.routing import route
-from celerlog.model import LogRecord, TemplateResult
+from celerlog.model import TemplateResult
 from collections import Counter
-from corpus import fig4_lines, fig5_lines, make_template_corpus
+from corpus import fig5_lines, make_template_corpus
 
 
 def write_lines(path, lines):
@@ -83,52 +83,30 @@ class TestIngest:
         assert [r.content for r in records] == ["worker ready", "worker busy"]
 
 
-def routed_keys(routed):
-    dense, sparse, stats = routed
-    return (
-        [(group.anchor_key, [m.key for m in group.member_groups]) for group in dense],
-        [item.group.key for item in sparse],
-        stats,
-    )
+def _fail_first_range(start, end):
+    """Fail the first range at once; hold every other one until released."""
+    release = pipeline._FORK_STATE["release"]
+    if start == 0:
+        raise ValueError("first range failed")
+    deadline = time.monotonic() + 3.0
+    while not release.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return list(range(start, end))
 
 
-class TestForkMapBuckets:
-    def test_pool_matches_sequential_route(self, monkeypatch):
-        lines, _ = make_template_corpus(
-            n_lines=3000, n_templates=20, n_oneoffs=2400, seed=5, oneoff_lengths=(4, 40)
-        )
-        records = [LogRecord.from_content(i, line) for i, line in enumerate(lines + fig4_lines())]
-        sequential = route(records)
-        stats = sequential[2]
-        assert stats.skeleton_groups >= 2000 and stats.buckets >= 2
-        assert stats.sparse_groups > 0
-        assert any(len(group.member_groups) > 1 for group in sequential[0])
-        pools = []
-        fork_map = pipeline._fork_map
-
-        def spy(key, *args, **kwargs):
-            pools.append(key)
-            return fork_map(key, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "_fork_map", spy)
-        pooled = route(records, bucket_mapper=partial(fork_map_buckets, jobs=2))
-        assert pools == ["merge"]
-        assert routed_keys(pooled) == routed_keys(sequential)
-
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_failure_names_bucket(self, monkeypatch, jobs):
-        lines, _ = make_template_corpus(
-            n_lines=2500, n_templates=10, n_oneoffs=2100, seed=5, oneoff_lengths=(5, 7)
-        )
-        records = [LogRecord.from_content(i, line) for i, line in enumerate(lines)]
-
-        def explode(bucket, config):
-            raise ValueError("boom")
-
-        monkeypatch.setattr(routing, "merge_bucket", explode)
-        mapper = None if jobs is None else partial(fork_map_buckets, jobs=jobs)
-        with pytest.raises(InternalInvariantError, match="bucket of length 4: boom"):
-            route(records, bucket_mapper=mapper)
+class TestForkMap:
+    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    def test_first_failure_raises_without_waiting(self, tmp_path):
+        # Every range but the first holds for up to 3 s, so waiting for the
+        # submitted ranges would take several seconds.
+        release = tmp_path / "release"
+        started = time.monotonic()
+        try:
+            with pytest.raises(InternalInvariantError, match="probe worker failed: first range"):
+                pipeline._fork_map("release", release, _fail_first_range, 16, 2, "probe")
+            assert time.monotonic() - started < 2.0
+        finally:
+            release.touch()
 
 
 class TestRun:
@@ -209,6 +187,21 @@ class TestWriteOutput:
         params = ["plain", "with|pipe", "with\\|both|", ""]
         packed = escape_parameters(params)
         assert unescape_parameters(packed)[:3] == params[:3]
+
+    @given(
+        st.lists(
+            st.text(
+                st.one_of(st.sampled_from("\\|"), st.characters()).filter(
+                    lambda char: not char.isspace()
+                ),
+                min_size=1,
+            )
+        )
+    )
+    @example(["ends\\", "next"])
+    @example(["\\|", "\\", "|\\\\"])
+    def test_escape_round_trips_every_token_list(self, parameters):
+        assert unescape_parameters(escape_parameters(parameters)) == parameters
 
     def test_unwritable_directory_fatal(self, tmp_path):
         blocker = tmp_path / "file"

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
+from celerlog import routing
 from celerlog.model import (
     InternalInvariantError,
+    LogBucket,
     LogRecord,
     RouterConfig,
     SkeletonGroup,
@@ -12,12 +16,11 @@ from celerlog.routing import (
     bucket_by_length,
     group_by_skeleton,
     merge_bucket,
-    pos_jaccard,
     route,
     select_threshold,
-    singleton_ratio,
 )
 from corpus import fig4_lines, fig5_lines, make_template_corpus
+from oracles import naive_merge_bucket, naive_select_threshold, pos_jaccard, singleton_ratio
 
 
 def records_of(lines):
@@ -129,6 +132,29 @@ class TestSelectThreshold:
 
     def test_clamps_to_tau_min(self):
         assert select_threshold([0.4, 0.3], RouterConfig()) == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.sampled_from([m / (2 * 6 - m) for m in range(7)]),
+                st.sampled_from([round(0.01 * i, 12) for i in range(101)]),
+            ),
+            max_size=40,
+        ),
+        st.builds(
+            RouterConfig,
+            p_quantile=st.sampled_from([0.05, 0.5, 0.8, 0.95, 1.0]),
+            tau_min=st.sampled_from([0.0, 0.3, 0.5]),
+            tau_max=st.sampled_from([0.95, 1.0]),
+            tau_step=st.sampled_from([0.01, 0.05, 0.1]),
+        ),
+    )
+    def test_matches_linear_sweep(self, similarities, config):
+        assert select_threshold(similarities, config) == naive_select_threshold(
+            similarities, config
+        )
 
 
 class TestMergeBucket:
@@ -261,19 +287,17 @@ class TestRoute:
             for member in group.member_groups:
                 assert anchor_verbs <= extract_verbs(member.key)
 
-    def test_composes_with_parallel_bucket_mapper(self):
-        from functools import partial
+    def test_failure_names_bucket(self, monkeypatch):
+        lines, _ = make_template_corpus(
+            n_lines=2500, n_templates=10, n_oneoffs=2100, seed=5, oneoff_lengths=(5, 7)
+        )
 
-        from celerlog.pipeline import fork_map_buckets
+        def explode(bucket, config):
+            raise ValueError("boom")
 
-        lines, _ = make_template_corpus(n_lines=300, n_templates=10, n_oneoffs=20, seed=6)
-        records = records_of(lines)
-        sequential = route(records)
-        parallel = route(records, bucket_mapper=partial(fork_map_buckets, jobs=4))
-        assert [s.group.key for s in sequential[1]] == [s.group.key for s in parallel[1]]
-        assert [
-            [m.key for m in g.member_groups] for g in sequential[0]
-        ] == [[m.key for m in g.member_groups] for g in parallel[0]]
+        monkeypatch.setattr(routing, "merge_bucket", explode)
+        with pytest.raises(InternalInvariantError, match="bucket of length 4: boom"):
+            route(records_of(lines))
 
     def test_deterministic(self):
         lines, _ = make_template_corpus(n_lines=500, n_templates=15, n_oneoffs=40, seed=4)
@@ -284,3 +308,112 @@ class TestRoute:
             [m.key for m in g.member_groups] for g in first[0]
         ] == [[m.key for m in g.member_groups] for g in second[0]]
         assert [s.group.key for s in first[1]] == [s.group.key for s in second[1]]
+
+
+#: Tokens for generated keys: verbs that block merges ("started" against
+#: "stopped"), mask tokens and plain words.
+KEY_TOKENS = ["started", "stopped", "opened", "<NUM>", "<CL>", "worker", "to"]
+
+
+@st.composite
+def merge_cases(draw):
+    """A bucket of distinct keys of one length, and a router configuration."""
+    length = draw(st.integers(1, 6))
+    # ``None`` stands for a token no other group has at that position.
+    vocabulary = KEY_TOKENS[: draw(st.integers(1, len(KEY_TOKENS)))] + [None]
+    keys = draw(
+        st.lists(
+            st.lists(st.sampled_from(vocabulary), min_size=length, max_size=length),
+            max_size=24,
+        )
+    )
+    groups = {}
+    for index, tokens in enumerate(keys):
+        key = " ".join(
+            f"u{index}p{position}" if token is None else token
+            for position, token in enumerate(tokens)
+        )
+        if key not in groups:
+            members = [f"{key} #{j}" for j in range(draw(st.integers(1, 3)))]
+            groups[key] = make_group(key, members, [index])
+    bucket = LogBucket(length=length, groups=tuple(sorted(groups.values(), key=lambda g: g.key)))
+    config = RouterConfig(
+        alpha=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+        p_quantile=draw(st.sampled_from([0.05, 0.5, 0.95, 1.0])),
+        tau_min=draw(st.sampled_from([0.0, 0.3, 0.5])),
+        tau_step=draw(st.sampled_from([0.01, 0.05])),
+        bypass_length=draw(st.sampled_from([0, 3])),
+        bypass_group_count=draw(st.sampled_from([0, 2])),
+    )
+    return bucket, config
+
+
+def _merged(case):
+    return naive_merge_bucket(*case)
+
+
+def _has_unique_count_tie(case):
+    _, _, states = _merged(case)
+    counts = [group.unique_count for group in case[0].groups]
+    return bool(states) and len(set(counts)) < len(counts)
+
+
+def _has_verb_blocked_candidate(case):
+    dense, _, states = _merged(case)
+    for group, state in zip(dense, states):
+        members = {member.key for member in group.member_groups}
+        if any(score >= state.tau and key not in members for key, score in state.similarities.items()):
+            return True
+    return False
+
+
+def _exhausts_anchor_budget(case):
+    _, sparse, _ = _merged(case)
+    return bool(sparse)
+
+
+def _has_all_zero_round(case):
+    _, _, states = _merged(case)
+    return any(
+        state.similarities and not any(state.similarities.values()) for state in states
+    )
+
+
+def _has_zero_threshold(case):
+    _, _, states = _merged(case)
+    return any(state.tau == 0.0 and state.similarities for state in states)
+
+
+class TestMergeBucketAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(merge_cases())
+    def test_equals_naive_merge(self, case):
+        bucket, config = case
+        trace = []
+        dense, sparse = merge_bucket(bucket, config, trace=trace)
+        naive_dense, naive_sparse, naive_states = naive_merge_bucket(bucket, config)
+        assert dense == naive_dense
+        assert sparse == naive_sparse
+        assert trace == naive_states
+        assert [list(state.similarities.items()) for state in trace] == [
+            list(state.similarities.items()) for state in naive_states
+        ]
+        assert merge_bucket(bucket, config) == (dense, sparse)
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            _has_unique_count_tie,
+            _has_verb_blocked_candidate,
+            _exhausts_anchor_budget,
+            _has_all_zero_round,
+            _has_zero_threshold,
+        ],
+        ids=lambda feature: feature.__name__.lstrip("_"),
+    )
+    def test_generator_covers(self, feature):
+        find(
+            merge_cases(),
+            feature,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
