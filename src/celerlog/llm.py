@@ -41,7 +41,15 @@ class FormatError(CelerlogError):
 
 
 class TransportError(CelerlogError):
-    """The backend could not be reached or answered unusably; retryable."""
+    """The backend could not be reached or answered unusably.
+
+    ``retryable`` is false when asking again cannot help, such as a rejected
+    API key; the batch then rolls back after that one invocation.
+    """
+
+    def __init__(self, message: str, retryable: bool = True) -> None:
+        super().__init__(message)
+        self.retryable = retryable
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,8 +196,6 @@ class MockBackend:
     convention: rendered character count divided by four, on each side.
     """
 
-    io_bound = False
-
     def infer(self, envelope: PromptEnvelope) -> BackendResponse:
         lines = []
         for index, message in enumerate(envelope.messages, start=1):
@@ -211,8 +217,6 @@ class MockBackend:
 
 class HttpBackend:
     """Chat-completions-style HTTP backend; temperature pinned to 0."""
-
-    io_bound = True
 
     def __init__(
         self,
@@ -245,9 +249,12 @@ class HttpBackend:
             )
         except requests.RequestException as exc:
             raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
-        if response.status_code != 200:
+        status = response.status_code
+        if status != 200:
+            # A client error other than a timeout or rate limit repeats on retry.
             raise TransportError(
-                f"backend returned HTTP {response.status_code}: {response.text[:200]}"
+                f"backend returned HTTP {status}: {response.text[:200]}",
+                retryable=not 400 <= status < 500 or status in (408, 429),
             )
         try:
             data = response.json()
@@ -289,9 +296,10 @@ def process_sparse(
 
     One representative per distinct content is queried (a sparse group
     normally holds exactly one). Requests go out in batches of the configured
-    size with up to ``config.jobs`` in flight. Transport failures retry with
-    exponential backoff; exhausted retries and malformed replies both degrade
-    to rollbacks, never to exceptions. Every attempt counts as an invocation.
+    size with up to ``config.jobs`` in flight. Retryable transport failures
+    retry with exponential backoff; a terminal transport failure, exhausted
+    retries and malformed replies all degrade to rollbacks, never to
+    exceptions. Every attempt counts as an invocation.
     """
     contents: list[str] = []
     for item in sorted(groups, key=lambda s: s.group.key):
@@ -317,9 +325,9 @@ def process_sparse(
             attempts += 1
             try:
                 response = backend.infer(envelope)
-            except TransportError:
+            except TransportError as exc:
                 ledger.add_llm_usage(0, invocations=1)
-                if attempts > max_retries:
+                if not exc.retryable or attempts > max_retries:
                     return rollback_all(batch)
                 time.sleep(backoff_seconds * (2 ** (attempts - 1)))
                 continue
@@ -335,11 +343,8 @@ def process_sparse(
                 for content, variables in zip(batch, variable_lists)
             }
 
-    if config.jobs > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as executor:
-            outcomes = list(executor.map(handle, batches))
-    else:
-        outcomes = [handle(batch) for batch in batches]
+    with ThreadPoolExecutor(max_workers=config.jobs) as executor:
+        outcomes = list(executor.map(handle, batches))
 
     results: dict[str, TemplateResult] = {}
     for outcome in outcomes:

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 from .model import MASK_TOKENS, PLACEHOLDER, CelerlogError, ConfigError
 
@@ -44,7 +45,7 @@ def load_mask_rules(path: str | None = None) -> tuple[MaskRule, ...]:
 
     Rules apply in file order and the order must be NUM, CL, UCL, BL, SL.
     """
-    text = _data_text("mask_rules.tsv") if path is None else open(path, encoding="utf-8").read()
+    text = _data_text("mask_rules.tsv") if path is None else Path(path).read_text(encoding="utf-8")
     rules: list[MaskRule] = []
     for line in text.splitlines():
         line = line.rstrip("\n")
@@ -145,12 +146,11 @@ def mask_token(token: str, rules: tuple[MaskRule, ...] | None = None) -> str:
     return _mask_token(token, rules)
 
 
-def mask_message(content: str, rules: tuple[MaskRule, ...] | None = None) -> tuple[str, tuple[str, ...]]:
+def mask_message(content: str) -> tuple[str, tuple[str, ...]]:
     """Mask a message token for token; returns (skeleton, skeleton tokens)."""
-    tokens = content.split()
-    if not tokens:
+    key_tokens = tuple(map(_mask_token_default, content.split()))
+    if not key_tokens:
         raise EmptyMessageError("cannot mask an empty message")
-    key_tokens = tuple(mask_token(token, rules) for token in tokens)
     return " ".join(key_tokens), key_tokens
 
 
@@ -161,7 +161,7 @@ def default_verb_lexicon() -> frozenset[str]:
 
 def load_verb_lexicon(path: str | None = None) -> frozenset[str]:
     """Load the newline-delimited list of lowercase verb lemmas."""
-    text = _data_text("verbs.txt") if path is None else open(path, encoding="utf-8").read()
+    text = _data_text("verbs.txt") if path is None else Path(path).read_text(encoding="utf-8")
     return frozenset(word.strip() for word in text.splitlines() if word.strip())
 
 

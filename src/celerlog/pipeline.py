@@ -1,19 +1,18 @@
-"""End-to-end orchestration: ingest, route, process in parallel, write outputs.
+"""End-to-end orchestration: ingest, route, process, write outputs.
 
-Routing goes through ``routing.route()``, the one routing path. With
-``jobs > 1``, at least ``_PARALLEL_THRESHOLD`` records and the fork start
-method, records are masked on a process pool and the skeletons passed to
-``route()``. On the 2-vCPU benchmark machine, turning this pool off moved
-dense-40k ``parse_s_jN`` from 1.45-1.55 s to 1.72-2.02 s; on sparse-llm it
-made no clear difference. Merging runs in process: with the position index
-in ``merge_bucket`` it costs less than a pool's forks and result pickling
-(README "Notes on parallelism" has the measurements).
+``run()`` takes the same path at every ``jobs`` value. Routing goes through
+``routing.route()``, the one routing path. With ``jobs > 1``, at least
+``_PARALLEL_THRESHOLD`` records and a platform that offers the fork start
+method, the record contents are masked in chunks on a fork-context process
+pool and the skeletons passed to ``route()``. On the 2-vCPU benchmark
+machine, turning this pool off moved dense-40k ``parse_s_jN`` from
+1.45-1.55 s to 1.72-2.02 s (README "Notes on parallelism").
 
-The pool reads its input through fork-inherited module state, so the only
-pickle traffic is the results. Sparse groups are network-bound and run on a
-thread while the dense side computes. All aggregation happens in a fixed
-order, so output bytes never depend on the worker count. Platforms without the
-fork start method fall back to sequential compute with threaded LLM requests.
+Sparse groups wait on the backend, so ``llm.process_sparse`` runs as one
+thread-pool future while the dense side computes, at every ``jobs`` value;
+its result, or its error, is collected before the outputs are assembled. All
+aggregation happens in a fixed order, so output bytes never depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -25,13 +24,12 @@ import json
 import logging
 import multiprocessing
 import os
-import threading
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from . import llm, statistical
 from .masking import compile_header_pattern, mask_message, strip_header
@@ -49,11 +47,6 @@ logger = logging.getLogger(__name__)
 
 #: Below this many records the masking pool costs more than it saves.
 _PARALLEL_THRESHOLD = 2000
-
-R = TypeVar("R")
-
-#: Inputs for forked workers, set immediately before each pool spins up.
-_FORK_STATE: dict = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,10 +133,8 @@ def ingest(
 
 
 def _fork_ready() -> bool:
-    try:
-        return multiprocessing.get_start_method() == "fork"
-    except ValueError:  # pragma: no cover
-        return False
+    # Asking for the start method would fix it for the whole process.
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _effective_workers(jobs: int) -> int:
@@ -152,61 +143,42 @@ def _effective_workers(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    size = max(1, (total + parts - 1) // parts)
-    return [(start, min(start + size, total)) for start in range(0, total, size)]
+def _mask_chunk(contents: list[str]) -> list[str]:
+    return [mask_message(content)[0] for content in contents]
 
 
-def _fork_map(
-    key: str,
-    data,
-    worker: Callable[[int, int], list[R]],
-    total: int,
-    jobs: int,
-    what: str,
-) -> list[R]:
-    """Run ``worker(start, end)`` over index ranges of fork-inherited data.
+def _mask_on_pool(records: Sequence[LogRecord], jobs: int) -> list[str]:
+    """Mask record contents in chunks on a fork-context process pool.
 
-    The data is published under ``_FORK_STATE[key]`` before the pool forks,
-    so workers read it from inherited memory; only results travel back.
-    The workers' lists are concatenated in range order, independent of
-    completion order. The first failed range cancels the ranges not yet
-    started and raises at once, without waiting for the running ones.
+    Skeletons come back in record order, independent of completion order. The
+    first failed chunk cancels the chunks not yet started and raises at once,
+    without waiting for the running ones.
     """
     workers = _effective_workers(jobs)
-    spans = _ranges(total, workers * 4)
-    _FORK_STATE[key] = data
-    # Freezing the heap keeps the children's collector from writing GC headers
-    # across every inherited page, which would otherwise copy-on-write the
-    # whole parent heap; the short-lived workers run without collection.
-    gc.freeze()
+    contents = [record.content for record in records]
+    size = max(1, -(-len(contents) // (workers * 4)))
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=gc.disable,
+    )
     try:
-        out: list[list[R]] = [[] for _ in spans]
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.disable)
-        try:
-            futures = {
-                pool.submit(worker, start, end): index
-                for index, (start, end) in enumerate(spans)
-            }
-            for future, index in futures.items():
-                try:
-                    out[index] = future.result()
-                except Exception as exc:
-                    raise InternalInvariantError(f"{what} worker failed: {exc}") from exc
-        except BaseException:
-            # A context manager would wait here for every submitted range.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown()
-        return [item for part in out for item in part]
-    finally:
-        gc.unfreeze()
-        _FORK_STATE.pop(key, None)
-
-
-def _mask_span(start: int, end: int) -> list[str]:
-    records: list[LogRecord] = _FORK_STATE["records"]
-    return [mask_message(record.content)[0] for record in records[start:end]]
+        futures = [
+            pool.submit(_mask_chunk, contents[start : start + size])
+            for start in range(0, len(contents), size)
+        ]
+        skeletons: list[str] = []
+        for future in futures:
+            try:
+                skeletons.extend(future.result())
+            except Exception as exc:
+                raise InternalInvariantError(f"masking worker failed: {exc}") from exc
+    except BaseException:
+        # A context manager would wait here for every submitted chunk.
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
+    return skeletons
 
 
 def run(
@@ -225,53 +197,23 @@ def run(
 
     records, ingest_stats = ingest(input_path, input_format, header_pattern)
     ledger = CostLedger()
-    use_pool = config.jobs > 1 and len(records) >= _PARALLEL_THRESHOLD and _fork_ready()
-
-    if use_pool:
+    if config.jobs > 1 and len(records) >= _PARALLEL_THRESHOLD and _fork_ready():
         # The skeletons go straight into route(), so they die when it returns
         # instead of living through extraction and writing.
-        dense, sparse, routing_stats = route(
-            records,
-            config,
-            _fork_map("records", records, _mask_span, len(records), config.jobs, "masking"),
-        )
+        dense, sparse, routing_stats = route(records, config, _mask_on_pool(records, config.jobs))
     else:
         dense, sparse, routing_stats = route(records, config)
     ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
-    # Sparse groups wait on the network; run them while the dense side computes.
-    # The thread starts only after the last fork above, so no pool ever forks
-    # a multi-threaded parent.
-    sparse_results: dict[str, TemplateResult] = {}
-    sparse_error: list[BaseException] = []
-
-    def sparse_task() -> None:
-        try:
-            sparse_results.update(llm.process_sparse(sparse, backend, config, ledger))
-        except BaseException as exc:  # re-raised on the main thread
-            sparse_error.append(exc)
-
-    # Offloading to a thread only pays when the backend actually waits on I/O;
-    # for CPU-bound backends the interpreter lock would just tax both sides.
-    sparse_thread: threading.Thread | None = None
-    if sparse and config.jobs > 1 and getattr(backend, "io_bound", True):
-        sparse_thread = threading.Thread(target=sparse_task, name="sparse-processor")
-        sparse_thread.start()
-    elif sparse:
-        sparse_task()
-
-    # Dense extraction is one linear scan over the distinct messages; shipping
-    # member sets to workers costs more than the scan, so it stays here and
-    # overlaps with the sparse thread's network waits.
-    by_content: dict[str, TemplateResult] = {}
-    for group in dense:
-        by_content.update(statistical.extract_template(group))
-
-    if sparse_thread is not None:
-        sparse_thread.join()
-    if sparse_error:
-        raise sparse_error[0]
-    by_content.update(sparse_results)
+    # The sparse future starts after the masking pool has forked its workers,
+    # so no pool ever forks a multi-threaded parent. Dense extraction is one
+    # linear scan over the distinct messages and overlaps the backend's waits.
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        sparse_future = executor.submit(llm.process_sparse, sparse, backend, config, ledger)
+        by_content: dict[str, TemplateResult] = {}
+        for group in dense:
+            by_content.update(statistical.extract_template(group))
+        by_content.update(sparse_future.result())
 
     final: dict[str, TemplateResult] = {
         content: statistical.finalize(result, tuple(content.split()))

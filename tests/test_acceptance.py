@@ -237,15 +237,11 @@ class _ProseHandler(BaseHTTPRequestHandler):
 
 
 class _TimeoutBackend:
-    io_bound = False
-
     def infer(self, envelope: PromptEnvelope):
         raise TransportError("injected timeout")
 
 
 class _HallucinatingBackend:
-    io_bound = False
-
     def infer(self, envelope: PromptEnvelope):
         lines = [f"{i}:\tzzz-not-present" for i in range(1, len(envelope.messages) + 1)]
         text = "\n".join(lines)
@@ -253,8 +249,6 @@ class _HallucinatingBackend:
 
 
 class _MalformedBackend:
-    io_bound = False
-
     def infer(self, envelope: PromptEnvelope):
         return type(
             "R", (), {"text": "cannot comply with that", "prompt_tokens": 5, "completion_tokens": 5}
@@ -293,6 +287,7 @@ def test_c07_rollback_safety_under_faulty_backends(tmp_path):
             )
         finally:
             server.shutdown()
+            server.server_close()
         assert code == 0
         _PRODUCED_OUTPUTS.append(out)
         with open(out / "structured.csv", newline="", encoding="utf-8") as handle:

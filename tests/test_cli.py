@@ -78,7 +78,8 @@ class TestParseCommand:
             "--header-pattern", r"^\w+ core: (?P<content>.*)$",
         ])
         assert code == 0
-        rows = list(csv.DictReader(open(out / "structured.csv", newline="")))
+        with open(out / "structured.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
         assert rows[0]["Content"] == "job 1 done"
 
 
@@ -126,6 +127,7 @@ class TestHttpCredential:
             ])
         finally:
             server.shutdown()
+            server.server_close()
         assert code == 0
         assert seen["auth"] == "Bearer sk-from-env"
 

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -280,6 +281,7 @@ def stub_server():
     _StubHandler.status = 200
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -304,6 +306,30 @@ class TestHttpBackend:
         backend = HttpBackend(stub_server, model="m")
         with pytest.raises(TransportError):
             backend.infer(build_prompt(["x 1"]))
+
+    @pytest.mark.parametrize(
+        "status, retryable",
+        [(400, False), (401, False), (404, False), (408, True), (429, True), (500, True), (503, True)],
+    )
+    def test_client_errors_are_terminal(self, stub_server, status, retryable):
+        _StubHandler.status = status
+        _StubHandler.reply = {"error": "no"}
+        with pytest.raises(TransportError) as caught:
+            HttpBackend(stub_server, model="m").infer(build_prompt(["x 1"]))
+        assert caught.value.retryable is retryable
+
+    def test_rejected_key_rolls_back_without_retry(self, stub_server):
+        _StubHandler.status = 401
+        _StubHandler.reply = {"error": "invalid api key"}
+        ledger = CostLedger()
+        started = time.monotonic()
+        results = process_sparse(
+            [sparse_group("weird isolated line", 0)], HttpBackend(stub_server, model="m"),
+            RouterConfig(jobs=1), ledger, backoff_seconds=10,
+        )
+        assert time.monotonic() - started < 1.0
+        assert results["weird isolated line"].source == SOURCE_ROLLBACK
+        assert ledger.llm_invocations == 1
 
     def test_unreachable_endpoint_is_transport_error(self):
         backend = HttpBackend("http://127.0.0.1:1/nothing", model="m", timeout=0.2)

@@ -1,13 +1,25 @@
 import csv
+import os
+import subprocess
+import sys
 import time
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import celerlog
 from celerlog import pipeline
 from celerlog.llm import MockBackend
-from celerlog.model import ConfigError, CostLedger, InternalInvariantError, RouterConfig
+from celerlog.model import (
+    ConfigError,
+    CostLedger,
+    InternalInvariantError,
+    LogRecord,
+    RouterConfig,
+)
 from celerlog.pipeline import (
     ParsedRecord,
     escape_parameters,
@@ -83,30 +95,37 @@ class TestIngest:
         assert [r.content for r in records] == ["worker ready", "worker busy"]
 
 
-def _fail_first_range(start, end):
-    """Fail the first range at once; hold every other one until released."""
-    release = pipeline._FORK_STATE["release"]
-    if start == 0:
-        raise ValueError("first range failed")
+def _fail_marked_chunk(release, contents):
+    """Fail the chunk holding the marker at once; hold every other one until released."""
+    if "marker record" in contents:
+        raise ValueError("marked chunk failed")
     deadline = time.monotonic() + 3.0
     while not release.exists() and time.monotonic() < deadline:
         time.sleep(0.01)
-    return list(range(start, end))
+    return contents
 
 
-class TestForkMap:
+class TestMaskOnPool:
     @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
-    def test_first_failure_raises_without_waiting(self, tmp_path):
-        # Every range but the first holds for up to 3 s, so waiting for the
-        # submitted ranges would take several seconds.
+    def test_first_failure_raises_without_waiting(self, tmp_path, monkeypatch):
+        # Every chunk but the marked one holds for up to 3 s, so waiting for
+        # the submitted chunks would take several seconds.
         release = tmp_path / "release"
+        monkeypatch.setattr(pipeline, "_mask_chunk", partial(_fail_marked_chunk, release))
+        contents = ["marker record"] + [f"event {i} done" for i in range(63)]
+        records = [LogRecord.from_content(index, content) for index, content in enumerate(contents)]
         started = time.monotonic()
         try:
-            with pytest.raises(InternalInvariantError, match="probe worker failed: first range"):
-                pipeline._fork_map("release", release, _fail_first_range, 16, 2, "probe")
+            with pytest.raises(InternalInvariantError, match="masking worker failed: marked chunk"):
+                pipeline._mask_on_pool(records, 2)
             assert time.monotonic() - started < 2.0
         finally:
             release.touch()
+
+
+class _BrokenBackend:
+    def infer(self, envelope):
+        raise RuntimeError("backend bug")
 
 
 class TestRun:
@@ -149,6 +168,32 @@ class TestRun:
             assert (tmp_path / "out1" / name).read_bytes() == (
                 tmp_path / "out2" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_backend_error_fails_run_without_output(self, tmp_path, jobs):
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        with pytest.raises(RuntimeError, match="backend bug"):
+            run(path, RouterConfig(jobs=jobs), _BrokenBackend(), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_leaves_start_method_unset(self, tmp_path):
+        # A fresh interpreter, since anything earlier in this one may have
+        # fixed the start method already.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        script = (
+            "import multiprocessing, sys\n"
+            "from celerlog import RouterConfig, run\n"
+            "run(sys.argv[1], RouterConfig(jobs=2))\n"
+            "print(multiprocessing.get_start_method(allow_none=True))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        assert child.stdout.strip() == "None"
 
     def test_wall_time_recorded(self, tmp_path):
         path = write_lines(tmp_path / "in.log", fig5_lines())
