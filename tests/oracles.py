@@ -108,6 +108,31 @@ def naive_fta(pred: dict[int, str], gt: dict[int, str]) -> float:
     return _naive_template_matches(pred, gt, with_text=True)
 
 
+def naive_mask_token(token: str, rules) -> str:
+    """Mask one token by the rule table, peeling brackets one character at a time.
+
+    ``rules`` is the package's rule table; the scan for designated tokens, the
+    peeling and the first-match rule loop are written out here.
+    """
+    if any(mask in token for mask in MASK_TOKENS + ("<*>",)):
+        return token
+    start, end = 0, len(token)
+    while start < end and token[start] in "([<":
+        start += 1
+    while end > start and token[end - 1] in ")]>,:;.!?":
+        end -= 1
+    prefix, core, suffix = token[:start], token[start:end], token[end:]
+    if not core:
+        return token
+    for rule in rules:
+        if rule.pattern.fullmatch(core) is None:
+            continue
+        if rule.name == "SL" and len(core) == 1 and not (prefix or suffix):
+            continue
+        return f"{prefix}<{rule.name}>{suffix}"
+    return token
+
+
 def pos_jaccard(a, b) -> float:
     """Jaccard similarity over (position, token) pairs of two equal-length keys.
 

@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import celerlog
 from celerlog import __version__
 from celerlog.cli import build_parser, main
 from celerlog.model import RouterConfig
@@ -26,6 +29,29 @@ class TestParseCommand:
         assert code == 0
         for name in ("structured.csv", "templates.csv", "run.json"):
             assert (out / name).is_file()
+
+    def test_statistical_warning_reaches_stderr(self, tmp_path):
+        # With no logging configured, Python's last-resort handler prints
+        # warnings to stderr. pytest's log capture would take them in process,
+        # so the CLI runs in a fresh interpreter.
+        script = (
+            "import sys\n"
+            "from celerlog import cli, statistical\n"
+            "extract = statistical.extract_template\n"
+            "def warn_then_extract(group):\n"
+            "    statistical.logger.warning('dense group looks odd')\n"
+            "    return extract(group)\n"
+            "statistical.extract_template = warn_then_extract\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        log = write_lines(tmp_path / "sample.log", fig5_lines())
+        env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script, "parse", "--input", str(log),
+             "--output", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        assert "dense group looks odd" in child.stderr.splitlines()
 
     def test_invalid_alpha_exits_2(self, tmp_path, capsys):
         log = write_lines(tmp_path / "sample.log", ["a b"])

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from celerlog.llm import (
+    MAX_RETRY_AFTER_SECONDS,
     FormatError,
     HttpBackend,
     MockBackend,
@@ -254,6 +255,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     requests_seen: list = []
     reply: dict = {}
     status: int = 200
+    #: (status, extra headers) answers sent before falling back to ``status``.
+    script: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -262,7 +265,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             {"body": body, "auth": self.headers.get("Authorization")}
         )
         payload = json.dumps(type(self).reply).encode()
-        self.send_response(type(self).status)
+        status, headers = type(self).script.pop(0) if type(self).script else (type(self).status, {})
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -279,6 +285,7 @@ def stub_server():
     thread.start()
     _StubHandler.requests_seen = []
     _StubHandler.status = 200
+    _StubHandler.script = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     server.server_close()
@@ -329,6 +336,54 @@ class TestHttpBackend:
         )
         assert time.monotonic() - started < 1.0
         assert results["weird isolated line"].source == SOURCE_ROLLBACK
+        assert ledger.llm_invocations == 1
+
+    @pytest.mark.parametrize(
+        "status, header, expected",
+        [(429, "7", 7), (503, " 0 ", 0), (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),
+         (429, "-1", None), (429, "1.5", None), (500, "7", None), (408, "7", None),
+         (429, "9" * 5000, float("inf"))],
+        ids=["429-seconds", "503-padded-zero", "429-http-date", "429-negative",
+             "429-fraction", "500-ignored", "408-ignored", "429-too-long-for-int"],
+    )
+    def test_retry_after_on_rate_limit_and_unavailable(self, stub_server, status, header, expected):
+        _StubHandler.script = [(status, {"Retry-After": header})]
+        _StubHandler.reply = {"error": "slow down"}
+        with pytest.raises(TransportError) as caught:
+            HttpBackend(stub_server, model="m").infer(build_prompt(["x 1"]))
+        assert caught.value.retry_after == expected
+
+    def test_retry_after_replaces_backoff(self, stub_server):
+        _StubHandler.script = [(429, {"Retry-After": "1"})]
+        _StubHandler.reply = {
+            "choices": [{"message": {"content": "1:\t42"}}],
+            "usage": {"prompt_tokens": 5, "completion_tokens": 5},
+        }
+        ledger = CostLedger()
+        started = time.monotonic()
+        results = process_sparse(
+            [sparse_group("took 42 ms", 0)], HttpBackend(stub_server, model="m"),
+            RouterConfig(jobs=1), ledger, backoff_seconds=10,
+        )
+        assert 1.0 <= time.monotonic() - started < 5.0
+        assert results["took 42 ms"].source == SOURCE_LLM
+        assert ledger.llm_invocations == 2
+
+    @pytest.mark.parametrize(
+        "header", [str(int(MAX_RETRY_AFTER_SECONDS) + 1), "86400", "10000000000", "9" * 5000],
+        ids=["just-above-limit", "one-day", "overflows-sleep", "too-long-for-int"],
+    )
+    def test_retry_after_above_limit_rolls_back_at_once(self, stub_server, header):
+        _StubHandler.script = [(429, {"Retry-After": header})]
+        _StubHandler.reply = {"error": "quota spent"}
+        ledger = CostLedger()
+        started = time.monotonic()
+        results = process_sparse(
+            [sparse_group("took 42 ms", 0)], HttpBackend(stub_server, model="m"),
+            RouterConfig(jobs=1), ledger, backoff_seconds=10,
+        )
+        assert time.monotonic() - started < 1.0
+        assert results["took 42 ms"].source == SOURCE_ROLLBACK
         assert ledger.llm_invocations == 1
 
     def test_unreachable_endpoint_is_transport_error(self):

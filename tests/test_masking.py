@@ -1,9 +1,14 @@
+import importlib
+import pkgutil
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import celerlog
 from celerlog.masking import (
     EmptyMessageError,
+    _mask_token,
     compile_header_pattern,
     default_mask_rules,
     extract_verbs,
@@ -14,6 +19,7 @@ from celerlog.masking import (
     strip_header,
 )
 from celerlog.model import ConfigError
+from oracles import naive_mask_token
 
 ZK_HEADER = r"^\S+ \S+ - (?P<level>\w+)\s+\[[^\]]*\] - (?P<content>.*)$"
 
@@ -86,6 +92,67 @@ class TestMaskToken:
         assert mask_token("s") == "s"
         assert mask_token("(s)") == "(<SL>)"
         assert mask_token("s:") == "<SL>:"
+
+
+# Pieces that exercise the peeling and the guard: brackets on both sides,
+# trailing punctuation, designated tokens embedded in longer tokens, lone
+# letters and values for every rule.
+TOKEN_PIECES = st.sampled_from(
+    ["(", "[", "<", ")", "]", ">", ",", ":", ";", ".", "!", "?", "<NUM>", "<*>", "<CL>",
+     "<SL", "NUM>", "s", "Z", "OK", "ERROR", "/", "=", "-", "_", "\\", "0x1f", "42", "3.5",
+     "blk9", "user", "path/to"]
+)
+mask_tokens_strategy = st.lists(TOKEN_PIECES, min_size=1, max_size=6).map("".join)
+
+
+def _is_lone_letter(token):
+    return len(token.strip("([<)]>,:;.!?")) == 1 and token.strip("([<)]>,:;.!?").isalpha()
+
+
+class TestMaskTokenAgainstOracle:
+    @settings(max_examples=2000, deadline=None)
+    @given(mask_tokens_strategy)
+    def test_equals_naive_mask_token(self, token):
+        rules = default_mask_rules()
+        assert _mask_token(token, rules) == naive_mask_token(token, rules)
+        assert mask_token(token) == naive_mask_token(token, rules)
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            lambda token: token[0] in "([<" and token[-1] in ")]>" and len(token) > 2,
+            lambda token: token[-1] in ",:;.!?" and len(token) > 1,
+            lambda token: "<NUM>" in token and token != "<NUM>",
+            lambda token: "<*>" in token and token != "<*>",
+            lambda token: "<" in token and naive_mask_token(token, default_mask_rules()) != token,
+            lambda token: _is_lone_letter(token) and len(token) == 1,
+            lambda token: _is_lone_letter(token) and len(token) > 1,
+        ],
+        ids=["brackets", "trailing-punct", "embedded-num", "embedded-placeholder",
+             "bracket-masked", "lone-letter", "lone-letter-adjacent"],
+    )
+    def test_generator_covers(self, feature):
+        find(
+            mask_tokens_strategy,
+            feature,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
+
+
+def test_every_cache_is_bounded():
+    maxsizes = {}
+    for module_info in pkgutil.iter_modules(celerlog.__path__, "celerlog."):
+        module = importlib.import_module(module_info.name)
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                maxsizes[f"{module_info.name}.{name}"] = value.cache_info().maxsize
+    assert {
+        "celerlog.masking._mask_token_default",
+        "celerlog.masking._lemmatize_default",
+        "celerlog.statistical.post_process",
+        "celerlog.statistical._alignment_pattern",
+    } <= set(maxsizes)
+    assert {name: size for name, size in maxsizes.items() if size is None} == {}
 
 
 class TestMaskMessage:

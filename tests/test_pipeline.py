@@ -195,6 +195,22 @@ class TestRun:
         )
         assert child.stdout.strip() == "None"
 
+    def test_mock_run_never_imports_requests(self, tmp_path):
+        # A fresh interpreter, since an earlier HTTP test may have imported it.
+        path = write_lines(tmp_path / "in.log", fig5_lines())
+        script = (
+            "import sys\n"
+            "import celerlog\n"
+            "celerlog.run(sys.argv[1], backend=celerlog.MockBackend())\n"
+            "print('requests' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        assert child.stdout.strip() == "False"
+
     def test_wall_time_recorded(self, tmp_path):
         path = write_lines(tmp_path / "in.log", fig5_lines())
         result = run(path, RouterConfig(jobs=1), MockBackend())
