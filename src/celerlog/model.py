@@ -35,11 +35,6 @@ class LogRecord:
     line_id: int
     content: str
 
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        """The whitespace split of content, derived on demand."""
-        return tuple(self.content.split())
-
     @classmethod
     def from_content(cls, line_id: int, content: str) -> "LogRecord":
         return cls(line_id=line_id, content=content)

@@ -26,10 +26,8 @@ _COMPOSITE = re.compile(r"<\*>[:=/]<\*>")
 _TEMPLATE_CACHE_SIZE = 4096
 
 
-def extract_signatures(group: DenseGroup, contents: list[str]) -> list[tuple[int, str]]:
-    """Column-scan a dense group into one (token length, template) per partition.
-
-    ``contents`` is ``group.distinct_contents()``.
+def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
+    """Derive one template per distinct message of a dense group.
 
     A position becomes a parameter when the group's distinct messages carry
     more than one value there, or when any member key masked it: the router
@@ -37,12 +35,15 @@ def extract_signatures(group: DenseGroup, contents: list[str]) -> list[tuple[int
     rescue them. Counting distinct messages rather than raw occurrences keeps
     a million repeats of one line from hiding real variance elsewhere.
 
-    Messages are partitioned by raw token count defensively; masking is token
-    for token, so more than one partition means something upstream broke.
+    Each distinct message is split once; the column statistics and the
+    parameters read the same token lists. Messages are partitioned by raw
+    token count defensively; masking is token for token, so more than one
+    partition means something upstream broke.
     """
+    contents = group.distinct_contents()
+    token_lists = [content.split() for content in contents]
     partitions: dict[int, list[list[str]]] = {}
-    for content in contents:
-        tokens = content.split()
+    for tokens in token_lists:
         partitions.setdefault(len(tokens), []).append(tokens)
     if len(partitions) > 1:
         logger.warning(
@@ -51,8 +52,9 @@ def extract_signatures(group: DenseGroup, contents: list[str]) -> list[tuple[int
             len(partitions),
         )
 
-    signatures: list[tuple[int, str]] = []
-    for length, token_lists in sorted(partitions.items()):
+    # Token length -> (template, parameter positions).
+    signatures: dict[int, tuple[str, tuple[int, ...]]] = {}
+    for length, partition in partitions.items():
         masked: set[int] = set()
         for member in group.member_groups:
             if len(member.key_tokens) != length:
@@ -60,49 +62,25 @@ def extract_signatures(group: DenseGroup, contents: list[str]) -> list[tuple[int
             for position, key_token in enumerate(member.key_tokens):
                 if key_token in _MASK_TOKEN_SET:
                     masked.add(position)
-        for position in range(length):
-            values = {tokens[position] for tokens in token_lists}
-            if len(values) > 1:
+        for position, column in enumerate(zip(*partition)):
+            # A literal "<*>" in the raw text must not survive as template text.
+            if PLACEHOLDER in column[0] or len(set(column)) > 1:
                 masked.add(position)
-            elif PLACEHOLDER in next(iter(values)):
-                # A literal "<*>" in the raw text must not survive as template text.
-                masked.add(position)
+        first = partition[0]
         template = " ".join(
-            PLACEHOLDER if position in masked else token_lists[0][position]
-            for position in range(length)
+            PLACEHOLDER if position in masked else first[position] for position in range(length)
         )
-        signatures.append((length, template))
-    return signatures
+        signatures[length] = (template, tuple(sorted(masked)))
 
-
-def materialize_templates(
-    contents: list[str], signatures: list[tuple[int, str]]
-) -> dict[str, TemplateResult]:
-    """Attach per-message parameters to the group's partition templates."""
-    by_length = dict(signatures)
     results: dict[str, TemplateResult] = {}
-    positions_cache: dict[int, tuple[int, ...]] = {}
-    for content in contents:
-        tokens = content.split()
-        template = by_length[len(tokens)]
-        positions = positions_cache.get(len(tokens))
-        if positions is None:
-            positions = tuple(
-                index for index, token in enumerate(template.split()) if token == PLACEHOLDER
-            )
-            positions_cache[len(tokens)] = positions
+    for content, tokens in zip(contents, token_lists):
+        template, positions = signatures[len(tokens)]
         results[content] = TemplateResult(
             template=template,
-            parameters=tuple(tokens[index] for index in positions),
+            parameters=tuple([tokens[position] for position in positions]),
             source=SOURCE_STATISTICAL,
         )
     return results
-
-
-def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
-    """Derive one template per distinct message of a dense group."""
-    contents = group.distinct_contents()
-    return materialize_templates(contents, extract_signatures(group, contents))
 
 
 @lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
@@ -137,22 +115,43 @@ def _collapse_composites(token: str) -> str:
         token = replaced
 
 
-def finalize(result: TemplateResult, tokens: tuple[str, ...]) -> TemplateResult:
-    """Post-process a result and re-derive its parameters for the new shape.
+def _rewritten_template(result: TemplateResult) -> str | None:
+    """The post-processed template when it differs from the result's, else None.
 
     Rollback results are exempt: their whole point is to reproduce the raw
     message untouched.
     """
     if result.source == SOURCE_ROLLBACK:
-        return result
+        return None
     template = post_process(result.template)
-    if template == result.template:
+    return None if template == result.template else template
+
+
+def finalize(result: TemplateResult, tokens: tuple[str, ...]) -> TemplateResult:
+    """Post-process a result and re-derive its parameters for the new shape.
+
+    A result whose realignment fails is kept as it was, with a warning.
+    """
+    template = _rewritten_template(result)
+    if template is None:
         return result
     parameters = derive_parameters(template, tokens)
     if parameters is None:
         logger.warning("could not realign parameters after post-processing %r", template)
         return result
     return TemplateResult(template=template, parameters=parameters, source=result.source)
+
+
+def finalize_all(by_content: dict[str, TemplateResult]) -> None:
+    """Replace each message's result with ``finalize(result, tuple(content.split()))``.
+
+    Only the messages whose template post-processing rewrites are split and
+    realigned; every other result is already final. Values are replaced in
+    place, which keeps the dict's size, so iterating stays valid.
+    """
+    for content, result in by_content.items():
+        if _rewritten_template(result) is not None:
+            by_content[content] = finalize(result, tuple(content.split()))
 
 
 @lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)

@@ -7,6 +7,8 @@ merge borrows only the package's data types and its verb extractor.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 from celerlog.masking import extract_verbs
@@ -44,6 +46,20 @@ def brute_force_masked_positions(
             if "<*>" in token:
                 masked.add(position)
     return masked
+
+
+def naive_write_structured(rows) -> bytes:
+    """structured.csv as bytes, written one ``csv.writer.writerow`` per row."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["LineId", "Content", "EventTemplate", "Parameters"])
+    for row in rows:
+        escaped = [
+            parameter.replace("\\", "\\\\").replace("|", "\\|")
+            for parameter in row.result.parameters
+        ]
+        writer.writerow([row.line_id, row.content, row.result.template, "|".join(escaped)])
+    return buffer.getvalue().encode("utf-8")
 
 
 def naive_normalize(template: str) -> str:

@@ -1,19 +1,25 @@
 import csv
+import logging
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import celerlog
-from celerlog import pipeline
-from celerlog.llm import MockBackend
+from celerlog import llm, pipeline, statistical
+from celerlog.llm import BackendResponse, MockBackend
 from celerlog.model import (
+    SOURCE_LLM,
+    SOURCE_ROLLBACK,
+    SOURCE_STATISTICAL,
     ConfigError,
     CostLedger,
     InternalInvariantError,
@@ -31,6 +37,7 @@ from celerlog.pipeline import (
 from celerlog.model import TemplateResult
 from collections import Counter
 from corpus import fig5_lines, make_template_corpus
+from oracles import naive_write_structured
 
 
 def write_lines(path, lines):
@@ -94,6 +101,25 @@ class TestIngest:
         records, _ = ingest(path, header_pattern=r"^\w+ (?P<content>.*)$")
         assert [r.content for r in records] == ["worker ready", "worker busy"]
 
+    def test_raw_ingest_peak_stays_below_three_file_sizes(self, tmp_path):
+        # About 200 bytes a line, as in the benchmark corpora. Holding the
+        # bytes, the decoded text and the lines at once peaks at about 3.7
+        # times the file size; releasing the bytes and the text, at about 2.3.
+        lines = [
+            f"worker {index} sent {index * 7} bytes to 10.0.{index % 256}.1 "
+            + " ".join(["through the replica channel of shard queue"] * 4)
+            for index in range(5000)
+        ]
+        path = write_lines(tmp_path / "in.log", lines)
+        tracemalloc.start()
+        try:
+            records, _ = ingest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(lines)
+        assert peak < 3.0 * path.stat().st_size
+
 
 def _fail_marked_chunk(release, contents):
     """Fail the chunk holding the marker at once; hold every other one until released."""
@@ -126,6 +152,14 @@ class TestMaskOnPool:
 class _BrokenBackend:
     def infer(self, envelope):
         raise RuntimeError("backend bug")
+
+
+class _NoVariablesBackend:
+    """Names no variable in any message, so every sparse message rolls back."""
+
+    def infer(self, envelope):
+        text = "\n".join(f"{index}:" for index in range(1, len(envelope.messages) + 1))
+        return BackendResponse(text=text, prompt_tokens=1, completion_tokens=1)
 
 
 class TestRun:
@@ -216,6 +250,98 @@ class TestRun:
         result = run(path, RouterConfig(jobs=1), MockBackend())
         assert result.ledger.wall_time_seconds > 0
 
+    def test_results_equal_finalize_of_every_message(self, tmp_path, monkeypatch, caplog):
+        # Each "copy" and "worker" group has a length bucket of its own, so
+        # it goes dense: the adjacent "copy" variables are rewritten into one,
+        # the "worker" template is kept. Two of the three one-offs go sparse
+        # and roll back, since the backend names no variable. One dense result
+        # is given a template that post-processing rewrites but cannot realign.
+        lines = [f"copy {index} {index * 3} blocks done" for index in range(20)]
+        lines += [f"worker {index} ready" for index in range(20)]
+        lines += ["alpha beta gamma delta", "epsilon zeta eta theta", "iota kappa lambda mu"]
+        path = write_lines(tmp_path / "in.log", lines)
+        before: dict[str, TemplateResult] = {}
+        real_extract, real_sparse = statistical.extract_template, llm.process_sparse
+
+        def recorded_extract(group):
+            results = real_extract(group)
+            misaligned = "copy 0 0 blocks done"
+            if misaligned in results:
+                raw = results[misaligned]
+                results[misaligned] = TemplateResult(
+                    raw.template + " 7", raw.parameters, raw.source
+                )
+            before.update(results)
+            return results
+
+        def recorded_sparse(*args):
+            results = real_sparse(*args)
+            before.update(results)
+            return results
+
+        monkeypatch.setattr(statistical, "extract_template", recorded_extract)
+        monkeypatch.setattr(llm, "process_sparse", recorded_sparse)
+        with caplog.at_level(logging.WARNING, logger="celerlog.statistical"):
+            result = run(path, RouterConfig(jobs=1), _NoVariablesBackend())
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "could not realign parameters after post-processing 'copy <*> blocks done <*>'"
+        ]
+
+        expected = {
+            content: statistical.finalize(raw, tuple(content.split()))
+            for content, raw in before.items()
+        }
+        assert {row.content: row.result for row in result.rows} == expected
+        assert [before[line].source for line in lines[-3:]].count(SOURCE_ROLLBACK) == 2
+        assert expected["worker 3 ready"] is before["worker 3 ready"]
+        assert before["worker 3 ready"].template == "worker <*> ready"
+        assert before["copy 1 3 blocks done"].template == "copy <*> <*> blocks done"
+        assert expected["copy 1 3 blocks done"] == TemplateResult(
+            "copy <*> blocks done", ("1 3",), SOURCE_STATISTICAL
+        )
+        assert expected["copy 0 0 blocks done"] is before["copy 0 0 blocks done"]
+
+
+# Every character csv.writer treats specially, edge spaces, the parameter
+# escapes, and any other character a decoded input can hold.
+_field_chars = st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", "\0", " ", "|", "\\", "a", "<*>"]),
+    st.characters(exclude_categories=("Cs",)),
+)
+_fields = st.lists(_field_chars, max_size=5).map("".join)
+
+
+@st.composite
+def structured_cases(draw):
+    """A few distinct (content, template, parameters) and a row count up to three writes."""
+    templates = draw(st.lists(_fields, min_size=1, max_size=3))
+    messages = draw(
+        st.lists(
+            st.tuples(_fields, st.sampled_from(templates), st.lists(_fields, max_size=3)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return messages, draw(st.integers(0, 3 * pipeline._ROWS_PER_WRITE + 1))
+
+
+def structured_rows(case):
+    """The case's rows, cycling over its messages; built here to keep examples' reprs short."""
+    messages, count = case
+    rows = []
+    for index in range(count):
+        content, template, parameters = messages[index % len(messages)]
+        rows.append(
+            ParsedRecord(index, content, TemplateResult(template, tuple(parameters), SOURCE_LLM))
+        )
+    return rows
+
+
+def _is_plain_row(row):
+    fields = (row.content, row.result.template, escape_parameters(row.result.parameters))
+    return not any(char in field for field in fields for char in ',"\r\n\0')
+
 
 class TestWriteOutput:
     def _rows(self):
@@ -263,6 +389,42 @@ class TestWriteOutput:
     @example(["\\|", "\\", "|\\\\"])
     def test_escape_round_trips_every_token_list(self, parameters):
         assert unescape_parameters(escape_parameters(parameters)) == parameters
+
+    @settings(max_examples=200, deadline=None)
+    @given(structured_cases())
+    @example(([("a\rb", "a<*>", ["\rb"])], 1))
+    @example(([(" x ", "", [])], 1))
+    @example(([("a\0b", "a <*>", [])], 1))
+    def test_structured_bytes_equal_csv_writer(self, case):
+        rows = structured_rows(case)
+        try:
+            expected = naive_write_structured(rows)
+        except csv.Error:
+            # Python 3.10's csv.writer refuses NUL; the writer must refuse it too.
+            with pytest.raises(csv.Error), tempfile.TemporaryDirectory() as out:
+                write_output(rows, Counter(), CostLedger(), out)
+            return
+        with tempfile.TemporaryDirectory() as out:
+            write_output(rows, Counter(), CostLedger(), out)
+            written = (Path(out) / "structured.csv").read_bytes()
+        assert written == expected
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            lambda rows: len(rows) > pipeline._ROWS_PER_WRITE and any(map(_is_plain_row, rows)),
+            lambda rows: len(rows) > pipeline._ROWS_PER_WRITE
+            and not all(map(_is_plain_row, rows)),
+            lambda rows: any("\r" in row.content for row in rows),
+        ],
+        ids=["plain-rows", "quoted-rows", "carriage-return"],
+    )
+    def test_generator_covers(self, feature):
+        find(
+            structured_cases(),
+            lambda case: feature(structured_rows(case)),
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
 
     def test_unwritable_directory_fatal(self, tmp_path):
         blocker = tmp_path / "file"
