@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     parse_cmd.add_argument("--bypass-groups", type=int, default=defaults.bypass_group_count,
                            help="buckets with this few groups skip merging")
     parse_cmd.add_argument("--jobs", type=int, default=defaults.jobs,
-                           help="worker count for routing and in-flight requests")
+                           help="worker count for masking and in-flight requests")
     parse_cmd.add_argument("--batch-size", type=int, default=defaults.llm_batch_size,
                            help="messages per LLM request")
     parse_cmd.add_argument("--backend", choices=("mock", "http"), default="mock",

@@ -37,8 +37,8 @@ def normalize_template(template: str) -> str:
     return " ".join(out)
 
 
-def load_template_csv(path: str | Path, template_column: str = "EventTemplate") -> dict[int, str]:
-    """Read a ``LineId``/template CSV into a line_id -> template mapping."""
+def load_template_csv(path: str | Path) -> dict[int, str]:
+    """Read a ``LineId``/``EventTemplate`` CSV into a line_id -> template mapping."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"file not found: {path}")
@@ -47,13 +47,13 @@ def load_template_csv(path: str | Path, template_column: str = "EventTemplate") 
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "LineId" not in reader.fieldnames:
             raise ConfigError(f"{path} has no LineId column")
-        if template_column not in reader.fieldnames:
-            raise ConfigError(f"{path} has no {template_column} column")
+        if "EventTemplate" not in reader.fieldnames:
+            raise ConfigError(f"{path} has no EventTemplate column")
         for row in reader:
             line_id = int(row["LineId"])
             if line_id in mapping:
                 raise ConfigError(f"{path} lists line id {line_id} more than once")
-            mapping[line_id] = row[template_column]
+            mapping[line_id] = row["EventTemplate"]
     return mapping
 
 
@@ -65,7 +65,9 @@ def _check_universe(predictions: dict[int, str], ground_truth: dict[int, str]) -
         surplus = len(set(predictions) - set(ground_truth))
         raise ConfigError(
             f"prediction and ground-truth line ids differ "
-            f"({missing} missing, {surplus} surplus)"
+            f"({missing} missing, {surplus} surplus); structured.csv numbers "
+            f"non-blank records from 0, so ground truth numbered by physical line "
+            f"or from 1 will not line up"
         )
 
 

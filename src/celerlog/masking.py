@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from .model import MASK_TOKENS, PLACEHOLDER, CelerlogError, ConfigError
 
@@ -46,15 +45,13 @@ def _data_text(name: str) -> str:
     return resources.files("celerlog.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def load_mask_rules(path: str | None = None) -> tuple[MaskRule, ...]:
-    """Load the rule table: one ``NAME<TAB>PATTERN`` line per rule.
+def _parse_mask_rules(text: str) -> tuple[MaskRule, ...]:
+    """Parse a rule table: one ``NAME<TAB>PATTERN`` line per rule.
 
-    Rules apply in file order and the order must be NUM, CL, UCL, BL, SL.
+    Rules apply in table order and the order must be NUM, CL, UCL, BL, SL.
     """
-    text = _data_text("mask_rules.tsv") if path is None else Path(path).read_text(encoding="utf-8")
     rules: list[MaskRule] = []
     for line in text.splitlines():
-        line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -76,7 +73,8 @@ def load_mask_rules(path: str | None = None) -> tuple[MaskRule, ...]:
 
 @lru_cache(maxsize=1)
 def default_mask_rules() -> tuple[MaskRule, ...]:
-    return load_mask_rules()
+    """The packaged rule table (data/mask_rules.tsv)."""
+    return _parse_mask_rules(_data_text("mask_rules.tsv"))
 
 
 def compile_header_pattern(pattern: str) -> re.Pattern:
@@ -104,8 +102,8 @@ def strip_header(raw_line: str, header_pattern: re.Pattern | None = None) -> str
     return match.group("content")
 
 
-def _classify(core: str, had_adjacency: bool, rules: tuple[MaskRule, ...]) -> str | None:
-    for rule in rules:
+def _classify(core: str, had_adjacency: bool) -> str | None:
+    for rule in default_mask_rules():
         if rule.pattern.fullmatch(core) is None:
             continue
         if rule.name == "SL" and len(core) == 1 and not had_adjacency:
@@ -116,11 +114,9 @@ def _classify(core: str, had_adjacency: bool, rules: tuple[MaskRule, ...]) -> st
 
 
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
-def _mask_token_default(token: str) -> str:
-    return _mask_token(token, default_mask_rules())
-
-
-def _mask_token(token: str, rules: tuple[MaskRule, ...]) -> str:
+def mask_token(token: str) -> str:
+    """Mask one whitespace-free token, preserving surrounding brackets and
+    trailing sentence punctuation outside the replacement."""
     # Every designated token holds "<"; the cheap test spares most tokens the
     # six substring scans.
     if "<" in token and any(mask in token for mask in _MASK_TOKEN_SET):
@@ -132,23 +128,15 @@ def _mask_token(token: str, rules: tuple[MaskRule, ...]) -> str:
     core = core.rstrip(_PEELED_TRAILING)
     if not core:
         return token
-    replacement = _classify(core, len(core) != len(token), rules)
+    replacement = _classify(core, len(core) != len(token))
     if replacement is None:
         return token
     return f"{token[:start]}{replacement}{token[start + len(core):]}"
 
 
-def mask_token(token: str, rules: tuple[MaskRule, ...] | None = None) -> str:
-    """Mask one whitespace-free token, preserving surrounding brackets and
-    trailing sentence punctuation outside the replacement."""
-    if rules is None:
-        return _mask_token_default(token)
-    return _mask_token(token, rules)
-
-
 def mask_message(content: str) -> tuple[str, tuple[str, ...]]:
     """Mask a message token for token; returns (skeleton, skeleton tokens)."""
-    key_tokens = tuple(map(_mask_token_default, content.split()))
+    key_tokens = tuple(map(mask_token, content.split()))
     if not key_tokens:
         raise EmptyMessageError("cannot mask an empty message")
     return " ".join(key_tokens), key_tokens
@@ -156,12 +144,8 @@ def mask_message(content: str) -> tuple[str, tuple[str, ...]]:
 
 @lru_cache(maxsize=1)
 def default_verb_lexicon() -> frozenset[str]:
-    return load_verb_lexicon()
-
-
-def load_verb_lexicon(path: str | None = None) -> frozenset[str]:
-    """Load the newline-delimited list of lowercase verb lemmas."""
-    text = _data_text("verbs.txt") if path is None else Path(path).read_text(encoding="utf-8")
+    """The packaged newline-delimited list of lowercase verb lemmas (data/verbs.txt)."""
+    text = _data_text("verbs.txt")
     return frozenset(word.strip() for word in text.splitlines() if word.strip())
 
 
@@ -188,18 +172,15 @@ def _lemma_candidates(word: str):
 
 
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
-def _lemmatize_default(word: str) -> str | None:
-    return _lemmatize(word, default_verb_lexicon())
-
-
-def _lemmatize(word: str, lexicon: frozenset[str]) -> str | None:
+def _lemmatize(word: str) -> str | None:
+    lexicon = default_verb_lexicon()
     for candidate in _lemma_candidates(word):
         if candidate in lexicon:
             return candidate
     return None
 
 
-def extract_verbs(key: str, lexicon: frozenset[str] | None = None) -> set[str]:
+def extract_verbs(key: str) -> set[str]:
     """Collect the lowercase verb lemmas present in a skeleton key.
 
     Mask tokens never match; every other token is lowercased, stripped of
@@ -212,11 +193,7 @@ def extract_verbs(key: str, lexicon: frozenset[str] | None = None) -> set[str]:
         word = token.strip("()[]<>{}\"'`,.:;!?").lower()
         if not word or not word.isalpha():
             continue
-        lemma = (
-            _lemmatize_default(word)
-            if lexicon is None
-            else _lemmatize(word, lexicon)
-        )
+        lemma = _lemmatize(word)
         if lemma is not None:
             verbs.add(lemma)
     return verbs

@@ -35,10 +35,6 @@ class LogRecord:
     line_id: int
     content: str
 
-    @classmethod
-    def from_content(cls, line_id: int, content: str) -> "LogRecord":
-        return cls(line_id=line_id, content=content)
-
 
 @dataclass(frozen=True, slots=True)
 class SkeletonGroup:
@@ -56,7 +52,7 @@ class SkeletonGroup:
 
 @dataclass(frozen=True, slots=True)
 class LogBucket:
-    """Skeleton groups whose keys share one token length; the unit of parallel work."""
+    """Skeleton groups whose keys share one token length; the unit of anchor merging."""
 
     length: int
     groups: tuple[SkeletonGroup, ...]

@@ -4,9 +4,10 @@
 ``routing.route()``, the one routing path. With ``jobs > 1``, at least
 ``_PARALLEL_THRESHOLD`` records and a platform that offers the fork start
 method, the record contents are masked in chunks on a fork-context process
-pool and the skeletons passed to ``route()``. On the 2-vCPU benchmark
-machine, turning this pool off moved dense-40k ``parse_s_jN`` from
-1.45-1.55 s to 1.72-2.02 s (README "Notes on parallelism").
+pool and the skeletons passed to ``route()``. On a 2-vCPU machine the pool
+no longer pays (dense-40k ``parse_s_jN`` 1.13 s with it against 1.06 s
+without, README "Notes on parallelism"); it stays for machines with at
+least 4 cores, where the acceptance suite asks ``--jobs 8`` to be faster.
 
 Sparse groups wait on the backend, so ``llm.process_sparse`` runs as one
 thread-pool future while the dense side computes, at every ``jobs`` value;
@@ -104,35 +105,41 @@ def ingest(
 
     # Neither the bytes nor, on the raw path, the decoded text outlives the
     # step that needs it: holding the bytes, the text and the lines together
-    # peaked at about 3.8 times the file size.
-    text = path.read_bytes().decode("utf-8", errors="replace")
-    decode_errors = text.count("\ufffd")
-
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    # peaked at about 3.8 times the file size. U+FFFD characters already in
+    # the file decode as themselves and are not decode errors.
+    data = path.read_bytes()
+    valid_replacements = data.count("\ufffd".encode())
+    text = data.decode("utf-8", errors="replace")
+    del data
+    decode_errors = text.count("\ufffd") - valid_replacements
 
     records: list[LogRecord] = []
     blank = 0
     if input_format == "raw":
+        lines = text.split("\n")
         del text
+        if lines[-1] == "":
+            lines.pop()
         for line in lines:
             content = strip_header(line.removesuffix("\r"), compiled)
             if not content.strip():
                 blank += 1
                 continue
-            records.append(LogRecord.from_content(len(records), content))
+            records.append(LogRecord(len(records), content))
     elif input_format == "csv":
-        blank += sum(1 for line in lines if not line.strip())
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None or "Content" not in reader.fieldnames:
+        # One blank per row: an empty line, or a row whose Content is blank or
+        # missing. Line breaks inside a quoted field belong to its row.
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None or "Content" not in header:
             raise ConfigError(f"structured input {path} has no Content column")
+        column = header.index("Content")
         for row in reader:
-            content = row.get("Content") or ""
+            content = row[column] if column < len(row) else ""
             if not content.strip():
                 blank += 1
                 continue
-            records.append(LogRecord.from_content(len(records), content))
+            records.append(LogRecord(len(records), content))
     else:
         raise ConfigError(f"unknown input format: {input_format!r}")
 
@@ -338,7 +345,8 @@ def write_output(
     """Write structured.csv, templates.csv and run.json into out_dir.
 
     The wall clock stops after the CSVs are on disk, so the figure recorded in
-    run.json covers ingest, processing and the bulk of output writing.
+    run.json covers ingest, processing and the bulk of output writing. An
+    unwritable directory, or a row ``csv.writer`` refuses, raises ConfigError.
     """
     out = Path(out_dir)
     try:
@@ -361,5 +369,6 @@ def write_output(
         with open(out / "run.json", "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:
+        # csv.Error: Python 3.10's csv.writer refuses a field holding NUL.
         raise ConfigError(f"cannot write outputs to {out}: {exc}") from exc

@@ -45,7 +45,6 @@ class MergeState:
     similarities: dict[str, float]
     tau: float
     k_limit: int
-    dense_emitted: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +198,6 @@ def merge_bucket(
                     },
                     tau=tau,
                     k_limit=k_limit,
-                    dense_emitted=len(dense),
                 )
             )
         alive.difference_update(matched)

@@ -13,6 +13,7 @@ from .model import (
     SOURCE_ROLLBACK,
     SOURCE_STATISTICAL,
     DenseGroup,
+    InternalInvariantError,
     TemplateResult,
 )
 
@@ -36,45 +37,35 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
     a million repeats of one line from hiding real variance elsewhere.
 
     Each distinct message is split once; the column statistics and the
-    parameters read the same token lists. Messages are partitioned by raw
-    token count defensively; masking is token for token, so more than one
-    partition means something upstream broke.
+    parameters read the same token lists. Masking is token for token and a
+    bucket holds one key length, so every message of a group has the same
+    token count; a group that breaks this raises ``InternalInvariantError``.
     """
     contents = group.distinct_contents()
     token_lists = [content.split() for content in contents]
-    partitions: dict[int, list[list[str]]] = {}
-    for tokens in token_lists:
-        partitions.setdefault(len(tokens), []).append(tokens)
-    if len(partitions) > 1:
-        logger.warning(
-            "dense group with anchor %r spans %d raw token lengths; parsing each separately",
-            group.anchor_key,
-            len(partitions),
+    length = len(token_lists[0])
+    if any(len(tokens) != length for tokens in token_lists):
+        raise InternalInvariantError(
+            f"dense group with anchor {group.anchor_key!r} mixes raw token lengths"
         )
 
-    # Token length -> (template, parameter positions).
-    signatures: dict[int, tuple[str, tuple[int, ...]]] = {}
-    for length, partition in partitions.items():
-        masked: set[int] = set()
-        for member in group.member_groups:
-            if len(member.key_tokens) != length:
-                continue
-            for position, key_token in enumerate(member.key_tokens):
-                if key_token in _MASK_TOKEN_SET:
-                    masked.add(position)
-        for position, column in enumerate(zip(*partition)):
-            # A literal "<*>" in the raw text must not survive as template text.
-            if PLACEHOLDER in column[0] or len(set(column)) > 1:
+    masked: set[int] = set()
+    for member in group.member_groups:
+        for position, key_token in enumerate(member.key_tokens):
+            if key_token in _MASK_TOKEN_SET:
                 masked.add(position)
-        first = partition[0]
-        template = " ".join(
-            PLACEHOLDER if position in masked else first[position] for position in range(length)
-        )
-        signatures[length] = (template, tuple(sorted(masked)))
+    for position, column in enumerate(zip(*token_lists)):
+        # A literal "<*>" in the raw text must not survive as template text.
+        if PLACEHOLDER in column[0] or len(set(column)) > 1:
+            masked.add(position)
+    first = token_lists[0]
+    template = " ".join(
+        PLACEHOLDER if position in masked else first[position] for position in range(length)
+    )
+    positions = sorted(masked)
 
     results: dict[str, TemplateResult] = {}
     for content, tokens in zip(contents, token_lists):
-        template, positions = signatures[len(tokens)]
         results[content] = TemplateResult(
             template=template,
             parameters=tuple([tokens[position] for position in positions]),

@@ -210,6 +210,6 @@ def naive_merge_bucket(bucket: LogBucket, config: RouterConfig):
             ):
                 matched.append(candidate)
         dense.append(DenseGroup(member_groups=tuple(matched), anchor_key=anchor.key))
-        states.append(MergeState(anchor.key, similarities, tau, k_limit, len(dense)))
+        states.append(MergeState(anchor.key, similarities, tau, k_limit))
         remaining = [group for group in remaining if group not in matched]
     return dense, [SparseGroup(group=group) for group in remaining], states

@@ -64,7 +64,7 @@ def write_lines(path: Path, lines) -> Path:
 
 
 def records_of(lines):
-    return [LogRecord.from_content(i, line) for i, line in enumerate(lines)]
+    return [LogRecord(i, line) for i, line in enumerate(lines)]
 
 
 def check_round_trip(out_dir: Path) -> int:

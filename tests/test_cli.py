@@ -209,6 +209,23 @@ class TestEvalCommand:
         ])
         assert code == 2
 
+    def test_ids_shifted_by_a_blank_line_explain_numbering(self, tmp_path, capsys):
+        log = write_lines(tmp_path / "sample.log", ["Snapshotting: 0x0 to /a/b", "",
+                                                   "Snapshotting: 0x1 to /a/c"])
+        out = tmp_path / "out"
+        assert main(["parse", "--input", str(log), "--output", str(out)]) == 0
+        gt = tmp_path / "gt.csv"
+        # Ground truth numbered by physical line: the second record is line 2.
+        gt.write_text("LineId,EventTemplate\n0,Snapshotting: <*> to <*>\n"
+                      "2,Snapshotting: <*> to <*>\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "eval", "--structured", str(out / "structured.csv"),
+            "--ground-truth", str(gt), "--report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "numbers non-blank records from 0" in capsys.readouterr().err
+
 
 class TestFlagSurface:
     def test_defaults_equal_router_config(self):

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import celerlog
 from celerlog.masking import (
     EmptyMessageError,
-    _mask_token,
+    _parse_mask_rules,
     compile_header_pattern,
     default_mask_rules,
+    default_verb_lexicon,
     extract_verbs,
-    load_mask_rules,
-    load_verb_lexicon,
     mask_message,
     mask_token,
     strip_header,
@@ -113,9 +112,7 @@ class TestMaskTokenAgainstOracle:
     @settings(max_examples=2000, deadline=None)
     @given(mask_tokens_strategy)
     def test_equals_naive_mask_token(self, token):
-        rules = default_mask_rules()
-        assert _mask_token(token, rules) == naive_mask_token(token, rules)
-        assert mask_token(token) == naive_mask_token(token, rules)
+        assert mask_token(token) == naive_mask_token(token, default_mask_rules())
 
     @pytest.mark.parametrize(
         "feature",
@@ -147,8 +144,8 @@ def test_every_cache_is_bounded():
             if callable(getattr(value, "cache_info", None)):
                 maxsizes[f"{module_info.name}.{name}"] = value.cache_info().maxsize
     assert {
-        "celerlog.masking._mask_token_default",
-        "celerlog.masking._lemmatize_default",
+        "celerlog.masking.mask_token",
+        "celerlog.masking._lemmatize",
         "celerlog.statistical.post_process",
         "celerlog.statistical._alignment_pattern",
     } <= set(maxsizes)
@@ -180,9 +177,6 @@ class TestExtractVerbs:
 
     def test_reading_lemmatizes(self):
         assert extract_verbs("Reading configuration from: <CL>") == {"read"}
-
-    def test_custom_lexicon(self):
-        assert extract_verbs("Stopped worker", lexicon=frozenset({"stop"})) == {"stop"}
 
 
 TOKEN_ALPHABET = "abcdefgXYZ0123456789/\\=:.-_()[]<>,;!?+"
@@ -217,22 +211,18 @@ class TestFixtures:
             "NUM", "CL", "UCL", "BL", "SL",
         )
 
-    def test_rules_load_from_file(self, tmp_path):
-        table = tmp_path / "rules.tsv"
-        table.write_text(
-            "NUM\t\\d+\nCL\t.*=.*\nUCL\t.*\\d.*\nBL\t[A-Z]+\nSL\t[a-z]\n",
-            encoding="utf-8",
+    def test_valid_table_parses(self):
+        rules = _parse_mask_rules(
+            "# comment\n\nNUM\t\\d+\nCL\t.*=.*\nUCL\t.*\\d.*\nBL\t[A-Z]+\nSL\t[a-z]\n"
         )
-        rules = load_mask_rules(str(table))
-        assert mask_token("42", rules) == "<NUM>"
+        assert [rule.replacement for rule in rules] == ["<NUM>", "<CL>", "<UCL>", "<BL>", "<SL>"]
+        assert rules[0].pattern.fullmatch("42")
 
-    def test_bad_rule_name_rejected(self, tmp_path):
-        table = tmp_path / "rules.tsv"
-        table.write_text("NOPE\t\\d+\n", encoding="utf-8")
+    def test_bad_rule_name_rejected(self):
         with pytest.raises(ConfigError):
-            load_mask_rules(str(table))
+            _parse_mask_rules("NOPE\t\\d+\n")
 
     def test_verb_lexicon_is_lowercase_lemmas(self):
-        lexicon = load_verb_lexicon()
+        lexicon = default_verb_lexicon()
         assert "fail" in lexicon and "read" in lexicon
         assert all(word == word.lower() for word in lexicon)

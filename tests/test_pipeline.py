@@ -69,6 +69,18 @@ class TestIngest:
         assert stats.record_count == 5
         assert records[3].content == "event 3 done"
 
+    def test_csv_counts_one_blank_per_row(self, tmp_path):
+        # A whitespace-only line and an empty line are one blank row each; the
+        # empty lines inside a quoted field belong to that field's record.
+        path = tmp_path / "in.csv"
+        path.write_text(
+            'LineId,Content\n0,event one\n   \n1,event two\n\n2,"event\n\nthree"\n',
+            encoding="utf-8",
+        )
+        records, stats = ingest(path, input_format="csv")
+        assert [r.content for r in records] == ["event one", "event two", "event\n\nthree"]
+        assert stats.blank_lines == 2
+
     def test_csv_missing_content_column_fatal(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("LineId,Message\n1,hello\n", encoding="utf-8")
@@ -85,6 +97,13 @@ class TestIngest:
         records, stats = ingest(path)
         assert stats.record_count == 2
         assert stats.decode_errors == 2
+
+    def test_replacement_character_in_file_is_not_a_decode_error(self, tmp_path):
+        path = tmp_path / "in.log"
+        path.write_bytes(b"valid \xef\xbf\xbd char\nbad \xff byte\n")
+        records, stats = ingest(path)
+        assert [r.content for r in records] == ["valid \ufffd char", "bad \ufffd byte"]
+        assert stats.decode_errors == 1
 
     @pytest.mark.parametrize(
         "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -139,7 +158,7 @@ class TestMaskOnPool:
         release = tmp_path / "release"
         monkeypatch.setattr(pipeline, "_mask_chunk", partial(_fail_marked_chunk, release))
         contents = ["marker record"] + [f"event {i} done" for i in range(63)]
-        records = [LogRecord.from_content(index, content) for index, content in enumerate(contents)]
+        records = [LogRecord(index, content) for index, content in enumerate(contents)]
         started = time.monotonic()
         try:
             with pytest.raises(InternalInvariantError, match="masking worker failed: marked chunk"):
@@ -400,8 +419,9 @@ class TestWriteOutput:
         try:
             expected = naive_write_structured(rows)
         except csv.Error:
-            # Python 3.10's csv.writer refuses NUL; the writer must refuse it too.
-            with pytest.raises(csv.Error), tempfile.TemporaryDirectory() as out:
+            # Python 3.10's csv.writer refuses NUL; the writer must refuse it too,
+            # as a ConfigError the CLI reports.
+            with pytest.raises(ConfigError), tempfile.TemporaryDirectory() as out:
                 write_output(rows, Counter(), CostLedger(), out)
             return
         with tempfile.TemporaryDirectory() as out:
@@ -425,6 +445,14 @@ class TestWriteOutput:
             lambda case: feature(structured_rows(case)),
             settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
         )
+
+    def test_row_refused_by_csv_writer_is_config_error(self, tmp_path, monkeypatch):
+        def refuse(handle, rows):
+            raise csv.Error("need to escape, but no escapechar set")
+
+        monkeypatch.setattr(pipeline, "_write_structured", refuse)
+        with pytest.raises(ConfigError, match="need to escape"):
+            write_output([], Counter(), CostLedger(), tmp_path / "out")
 
     def test_unwritable_directory_fatal(self, tmp_path):
         blocker = tmp_path / "file"

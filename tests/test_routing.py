@@ -24,7 +24,7 @@ from oracles import naive_merge_bucket, naive_select_threshold, pos_jaccard, sin
 
 
 def records_of(lines):
-    return [LogRecord.from_content(i, line) for i, line in enumerate(lines)]
+    return [LogRecord(i, line) for i, line in enumerate(lines)]
 
 
 def make_group(key, members, record_ids):

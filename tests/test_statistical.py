@@ -8,6 +8,7 @@ from celerlog.model import (
     SOURCE_ROLLBACK,
     SOURCE_STATISTICAL,
     DenseGroup,
+    InternalInvariantError,
     LogRecord,
     TemplateResult,
 )
@@ -23,7 +24,7 @@ from oracles import brute_force_masked_positions
 
 
 def dense_group_from(lines):
-    records = [LogRecord.from_content(i, line) for i, line in enumerate(lines)]
+    records = [LogRecord(i, line) for i, line in enumerate(lines)]
     groups = group_by_skeleton(records)
     return DenseGroup(member_groups=tuple(groups))
 
@@ -85,6 +86,15 @@ class TestExtractTemplate:
         results = extract_template(group)
         for line in lines:
             assert line in results
+
+
+    def test_mixed_token_lengths_raise(self):
+        # route() never builds such a group: masking is token for token and a
+        # bucket holds one key length.
+        short, long = group_by_skeleton([LogRecord(0, "a b"), LogRecord(1, "a b c")])
+        group = DenseGroup(member_groups=(short, long), anchor_key="a b")
+        with pytest.raises(InternalInvariantError, match="'a b'"):
+            extract_template(group)
 
 
 class TestPostProcess:
