@@ -45,15 +45,19 @@ def load_template_csv(path: str | Path) -> dict[int, str]:
     mapping: dict[int, str] = {}
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "LineId" not in reader.fieldnames:
-            raise ConfigError(f"{path} has no LineId column")
-        if "EventTemplate" not in reader.fieldnames:
-            raise ConfigError(f"{path} has no EventTemplate column")
-        for row in reader:
-            line_id = int(row["LineId"])
-            if line_id in mapping:
-                raise ConfigError(f"{path} lists line id {line_id} more than once")
-            mapping[line_id] = row["EventTemplate"]
+        try:
+            if reader.fieldnames is None or "LineId" not in reader.fieldnames:
+                raise ConfigError(f"{path} has no LineId column")
+            if "EventTemplate" not in reader.fieldnames:
+                raise ConfigError(f"{path} has no EventTemplate column")
+            for row in reader:
+                line_id = int(row["LineId"])
+                if line_id in mapping:
+                    raise ConfigError(f"{path} lists line id {line_id} more than once")
+                mapping[line_id] = row["EventTemplate"]
+        except csv.Error as exc:
+            # Raised, among others, for a field over csv.field_size_limit().
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
     return mapping
 
 

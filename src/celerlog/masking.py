@@ -38,7 +38,6 @@ class EmptyMessageError(CelerlogError):
 class MaskRule:
     name: str
     pattern: re.Pattern
-    replacement: str
 
 
 def _data_text(name: str) -> str:
@@ -65,7 +64,7 @@ def _parse_mask_rules(text: str) -> tuple[MaskRule, ...]:
             compiled = re.compile(pattern)
         except re.error as exc:
             raise ConfigError(f"invalid mask rule pattern for {name}: {exc}") from exc
-        rules.append(MaskRule(name=name, pattern=compiled, replacement=f"<{name}>"))
+        rules.append(MaskRule(name=name, pattern=compiled))
     if tuple(r.name for r in rules) != _RULE_NAMES:
         raise ConfigError(f"mask rule table must define exactly {_RULE_NAMES} in order")
     return tuple(rules)
@@ -102,21 +101,24 @@ def strip_header(raw_line: str, header_pattern: re.Pattern | None = None) -> str
     return match.group("content")
 
 
-def _classify(core: str, had_adjacency: bool) -> str | None:
-    for rule in default_mask_rules():
-        if rule.pattern.fullmatch(core) is None:
-            continue
-        if rule.name == "SL" and len(core) == 1 and not had_adjacency:
-            # A bare letter only masks when a delimiter sat right next to it.
-            continue
-        return rule.replacement
-    return None
+@lru_cache(maxsize=1)
+def _classifier() -> re.Pattern:
+    """The rule table as one alternation with a named group per rule, in order.
+
+    ``fullmatch`` tries the alternatives in order, so ``lastgroup`` names the
+    first rule that full-matches the core, as trying the rules one by one
+    would. Built on first use, so start-up does not pay for it.
+    """
+    return re.compile(
+        "|".join(f"(?P<{rule.name}>{rule.pattern.pattern})" for rule in default_mask_rules())
+    )
 
 
-@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
-def mask_token(token: str) -> str:
-    """Mask one whitespace-free token, preserving surrounding brackets and
-    trailing sentence punctuation outside the replacement."""
+def _mask_uncached(token: str) -> str:
+    # No rule masks a token of lowercase letters alone: NUM, CL and UCL need a
+    # digit or a delimiter, BL capitals, and SL one letter beside a delimiter.
+    if token.isalpha() and token.islower():
+        return token
     # Every designated token holds "<"; the cheap test spares most tokens the
     # six substring scans.
     if "<" in token and any(mask in token for mask in _MASK_TOKEN_SET):
@@ -128,15 +130,42 @@ def mask_token(token: str) -> str:
     core = core.rstrip(_PEELED_TRAILING)
     if not core:
         return token
-    replacement = _classify(core, len(core) != len(token))
-    if replacement is None:
+    match = _classifier().fullmatch(core)
+    if match is None:
         return token
-    return f"{token[:start]}{replacement}{token[start + len(core):]}"
+    name = match.lastgroup
+    if name == "SL" and len(token) == 1:
+        # A bare letter only masks when a delimiter sat right next to it.
+        return token
+    return f"{token[:start]}<{name}>{token[start + len(core):]}"
+
+
+class _TokenCache(dict):
+    """Token -> masked token, emptied when it reaches ``_TOKEN_CACHE_SIZE`` entries.
+
+    A hit is one dict lookup in C, with no Python frame; a miss masks the token
+    through ``__missing__``.
+    """
+
+    def __missing__(self, token: str) -> str:
+        if len(self) >= _TOKEN_CACHE_SIZE:
+            self.clear()
+        masked = self[token] = _mask_uncached(token)
+        return masked
+
+
+_TOKEN_CACHE = _TokenCache()
+
+
+def mask_token(token: str) -> str:
+    """Mask one whitespace-free token, preserving surrounding brackets and
+    trailing sentence punctuation outside the replacement."""
+    return _TOKEN_CACHE[token]
 
 
 def mask_message(content: str) -> tuple[str, tuple[str, ...]]:
     """Mask a message token for token; returns (skeleton, skeleton tokens)."""
-    key_tokens = tuple(map(mask_token, content.split()))
+    key_tokens = tuple(map(_TOKEN_CACHE.__getitem__, content.split()))
     if not key_tokens:
         raise EmptyMessageError("cannot mask an empty message")
     return " ".join(key_tokens), key_tokens

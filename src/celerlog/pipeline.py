@@ -14,6 +14,13 @@ thread-pool future while the dense side computes, at every ``jobs`` value;
 its result, or its error, is collected before the outputs are assembled. All
 aggregation happens in a fixed order, so output bytes never depend on the
 worker count.
+
+The cyclic garbage collector is off while ``run()`` computes, from ingest
+through writing: those phases allocate millions of objects that hold no
+cycles, and each collection traverses the live ones. On dense-40k the
+collector took about a tenth of a run, in 340 collections. It comes back on
+while ``run()`` only waits on the sparse future, so a long HTTP run still
+collects, and ``run()`` restores the caller's setting however it exits.
 """
 
 from __future__ import annotations
@@ -130,16 +137,20 @@ def ingest(
         # One blank per row: an empty line, or a row whose Content is blank or
         # missing. Line breaks inside a quoted field belong to its row.
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or "Content" not in header:
-            raise ConfigError(f"structured input {path} has no Content column")
-        column = header.index("Content")
-        for row in reader:
-            content = row[column] if column < len(row) else ""
-            if not content.strip():
-                blank += 1
-                continue
-            records.append(LogRecord(len(records), content))
+        try:
+            header = next(reader, None)
+            if header is None or "Content" not in header:
+                raise ConfigError(f"structured input {path} has no Content column")
+            column = header.index("Content")
+            for row in reader:
+                content = row[column] if column < len(row) else ""
+                if not content.strip():
+                    blank += 1
+                    continue
+                records.append(LogRecord(len(records), content))
+        except csv.Error as exc:
+            # Raised, among others, for a field over csv.field_size_limit().
+            raise ConfigError(f"cannot read structured input {path}: {exc}") from exc
     else:
         raise ConfigError(f"unknown input format: {input_format!r}")
 
@@ -210,55 +221,76 @@ def run(
     backend = backend or llm.MockBackend()
     started_at = perf_counter()
 
-    records, ingest_stats = ingest(input_path, input_format, header_pattern)
-    ledger = CostLedger()
-    if config.jobs > 1 and len(records) >= _PARALLEL_THRESHOLD and _fork_ready():
-        # The skeletons go straight into route(), so they die when it returns
-        # instead of living through extraction and writing.
-        dense, sparse, routing_stats = route(records, config, _mask_on_pool(records, config.jobs))
-    else:
-        dense, sparse, routing_stats = route(records, config)
-    ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
+    # The cyclic collector stays off while computing (module docstring).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        records, ingest_stats = ingest(input_path, input_format, header_pattern)
+        ledger = CostLedger()
+        if config.jobs > 1 and len(records) >= _PARALLEL_THRESHOLD and _fork_ready():
+            # The skeletons go straight into route(), so they die when it
+            # returns instead of living through extraction and writing.
+            dense, sparse, routing_stats = route(
+                records, config, _mask_on_pool(records, config.jobs)
+            )
+        else:
+            dense, sparse, routing_stats = route(records, config)
+        ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
-    # The sparse future starts after the masking pool has forked its workers,
-    # so no pool ever forks a multi-threaded parent. Dense extraction is one
-    # linear scan over the distinct messages and overlaps the backend's waits.
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        sparse_future = executor.submit(llm.process_sparse, sparse, backend, config, ledger)
-        by_content: dict[str, TemplateResult] = {}
-        for group in dense:
-            by_content.update(statistical.extract_template(group))
-        by_content.update(sparse_future.result())
+        # The sparse future starts after the masking pool has forked its
+        # workers, so no pool ever forks a multi-threaded parent. Dense
+        # extraction overlaps the backend's waits.
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            sparse_future = executor.submit(llm.process_sparse, sparse, backend, config, ledger)
+            by_content: dict[str, TemplateResult] = {}
+            for group in dense:
+                by_content.update(statistical.extract_template(group))
+            # Re-enabling makes the next allocation collect every object
+            # allocated so far, so it pays only when there is a wait to fill.
+            if collecting and not sparse_future.done():
+                gc.enable()
+            try:
+                by_content.update(sparse_future.result())
+            finally:
+                gc.disable()
 
-    statistical.finalize_all(by_content)
+        statistical.finalize_all(by_content)
 
-    rows: list[ParsedRecord] = []
-    for record in records:
-        result = by_content.get(record.content)
-        if result is None:
-            raise InternalInvariantError(f"record {record.line_id} missing from routing output")
-        rows.append(ParsedRecord(line_id=record.line_id, content=record.content, result=result))
-    catalog = Counter(row.result.template for row in rows)
+        rows: list[ParsedRecord] = []
+        for record in records:
+            result = by_content.get(record.content)
+            if result is None:
+                raise InternalInvariantError(f"record {record.line_id} missing from routing output")
+            rows.append(ParsedRecord(line_id=record.line_id, content=record.content, result=result))
+        catalog = Counter(row.result.template for row in rows)
 
-    if out_dir is not None:
-        write_output(
-            rows,
-            catalog,
-            ledger,
-            out_dir,
-            config=config,
-            routing=routing_stats,
-            ingest_stats=ingest_stats,
-            started_at=started_at,
+        if out_dir is not None:
+            write_output(
+                rows,
+                catalog,
+                ledger,
+                out_dir,
+                config=config,
+                routing=routing_stats,
+                ingest_stats=ingest_stats,
+                started_at=started_at,
+            )
+        ledger.set_wall_time(perf_counter() - started_at)
+        return RunResult(
+            rows=rows, catalog=catalog, ledger=ledger, routing=routing_stats, ingest=ingest_stats
         )
-    ledger.set_wall_time(perf_counter() - started_at)
-    return RunResult(
-        rows=rows, catalog=catalog, ledger=ledger, routing=routing_stats, ingest=ingest_stats
-    )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def escape_parameters(parameters: Sequence[str]) -> str:
     """Join parameters with ``|``, escaping ``\\`` as ``\\\\`` and ``|`` as ``\\|``."""
+    joined = "|".join(parameters)
+    # Only the separators hold "|" when the count is one less than the
+    # parameters; with no "\\" either there is nothing to escape.
+    if "\\" not in joined and joined.count("|") < len(parameters):
+        return joined
     return "|".join(
         parameter.replace("\\", "\\\\").replace("|", "\\|") for parameter in parameters
     )

@@ -117,11 +117,18 @@ def select_threshold(similarities: Sequence[float], config: RouterConfig) -> flo
     bound). If the limit is never reached the sweep's upper bound wins. One
     sort lets each grid point count the scores below it by bisection.
     """
-    ordered = sorted(similarities)
+    return _sweep_threshold(sorted(similarities), 0, config)
+
+
+def _sweep_threshold(ordered: Sequence[float], zeros: int, config: RouterConfig) -> float:
+    """``select_threshold`` over the ascending scores ``ordered`` plus
+    ``zeros`` more scores of 0, counted rather than listed."""
+    total = len(ordered) + zeros
     steps = int(math.floor((config.tau_max - config.tau_min) / config.tau_step + 1e-9))
     for i in range(steps + 1):
         tau = round(config.tau_min + i * config.tau_step, 12)
-        if ordered and bisect_left(ordered, tau) / len(ordered) >= config.p_quantile:
+        below = bisect_left(ordered, tau) + (zeros if tau > 0.0 else 0)
+        if total and below / total >= config.p_quantile:
             return max(round(tau - config.tau_step, 12), config.tau_min)
     return config.tau_max
 
@@ -178,8 +185,7 @@ def merge_bucket(
         )
         scores = {index: m / (double_length - m) for index, m in matches.items() if index in alive}
         # Candidates missing from ``scores`` score 0, which clears only tau 0.
-        zeros = [0.0] * (len(alive) - len(scores))
-        tau = select_threshold(zeros + list(scores.values()), config)
+        tau = _sweep_threshold(sorted(scores.values()), len(alive) - len(scores), config)
         hits = sorted(alive) if tau <= 0.0 else sorted(i for i, s in scores.items() if s >= tau)
         anchor_verbs = verbs_of(anchor)
         matched = [anchor] + [index for index in hits if anchor_verbs <= verbs_of(index)]

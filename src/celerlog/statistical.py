@@ -34,35 +34,56 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
     more than one value there, or when any member key masked it: the router
     already judged those positions variable-shaped, so a lone value does not
     rescue them. Counting distinct messages rather than raw occurrences keeps
-    a million repeats of one line from hiding real variance elsewhere.
+    a million repeats of one line from hiding real variance elsewhere. A
+    literal ``<*>`` in the raw text always becomes a parameter.
 
-    Each distinct message is split once; the column statistics and the
-    parameters read the same token lists. Masking is token for token and a
-    bucket holds one key length, so every message of a group has the same
-    token count; a group that breaks this raises ``InternalInvariantError``.
+    The member keys decide nearly every position without reading the
+    messages, because ``mask_token`` returns a token unchanged unless its
+    output holds a designated token:
+
+    - a key token that is a designated token, holds ``<*>``, or differs
+      between member keys marks a parameter;
+    - a key token that only contains a designated token, such as ``(<NUM>)``,
+      leaves the raw values to decide;
+    - any other key token is the raw token of every message, so it is constant.
+
+    Each distinct message is split once, to read its parameters. Masking is
+    token for token and a bucket holds one key length, so every message of a
+    group has the same token count; a group that breaks this raises
+    ``InternalInvariantError``.
     """
+    keys = [member.key_tokens for member in group.member_groups]
+    first = keys[0]
+    length = len(first)
     contents = group.distinct_contents()
     token_lists = [content.split() for content in contents]
-    length = len(token_lists[0])
-    if any(len(tokens) != length for tokens in token_lists):
+    if any(len(key) != length for key in keys) or any(
+        len(tokens) != length for tokens in token_lists
+    ):
         raise InternalInvariantError(
             f"dense group with anchor {group.anchor_key!r} mixes raw token lengths"
         )
 
-    masked: set[int] = set()
-    for member in group.member_groups:
-        for position, key_token in enumerate(member.key_tokens):
-            if key_token in _MASK_TOKEN_SET:
-                masked.add(position)
-    for position, column in enumerate(zip(*token_lists)):
-        # A literal "<*>" in the raw text must not survive as template text.
-        if PLACEHOLDER in column[0] or len(set(column)) > 1:
-            masked.add(position)
-    first = token_lists[0]
-    template = " ".join(
-        PLACEHOLDER if position in masked else first[position] for position in range(length)
-    )
-    positions = sorted(masked)
+    template_tokens = list(first)
+    positions: list[int] = []
+    for position, token in enumerate(first):
+        variable = (
+            token in _MASK_TOKEN_SET
+            or PLACEHOLDER in token
+            or any(key[position] != token for key in keys)
+        )
+        if not variable:
+            if "<" not in token:
+                continue
+            # A designated token inside a longer one, such as "(<NUM>)", or a
+            # raw "<": the raw values decide, and a constant keeps its raw text.
+            column = {tokens[position] for tokens in token_lists}
+            if len(column) == 1:
+                template_tokens[position] = column.pop()
+                continue
+        template_tokens[position] = PLACEHOLDER
+        positions.append(position)
+    template = " ".join(template_tokens)
 
     results: dict[str, TemplateResult] = {}
     for content, tokens in zip(contents, token_lists):
@@ -136,12 +157,18 @@ def finalize(result: TemplateResult, tokens: tuple[str, ...]) -> TemplateResult:
 def finalize_all(by_content: dict[str, TemplateResult]) -> None:
     """Replace each message's result with ``finalize(result, tuple(content.split()))``.
 
-    Only the messages whose template post-processing rewrites are split and
-    realigned; every other result is already final. Values are replaced in
-    place, which keeps the dict's size, so iterating stays valid.
+    Whether post-processing rewrites a template is decided once per distinct
+    template and source; only the messages whose template it rewrites are
+    split and realigned, and every other result is already final. Values are
+    replaced in place, which keeps the dict's size, so iterating stays valid.
     """
+    rewrites: dict[tuple[str, str], bool] = {}
     for content, result in by_content.items():
-        if _rewritten_template(result) is not None:
+        kind = (result.template, result.source)
+        rewritten = rewrites.get(kind)
+        if rewritten is None:
+            rewritten = rewrites[kind] = _rewritten_template(result) is not None
+        if rewritten:
             by_content[content] = finalize(result, tuple(content.split()))
 
 

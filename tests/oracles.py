@@ -18,6 +18,7 @@ from celerlog.model import (
     LogBucket,
     RouterConfig,
     SparseGroup,
+    TemplateResult,
 )
 from celerlog.routing import MergeState
 
@@ -46,6 +47,42 @@ def brute_force_masked_positions(
             if "<*>" in token:
                 masked.add(position)
     return masked
+
+
+def naive_extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
+    """Column-scan template extraction over every distinct message's tokens.
+
+    A position is a parameter when any member key holds a designated token
+    there, when the messages carry more than one value there, or when the
+    value holds a literal ``<*>``.
+    """
+    contents = sorted({content for member in group.member_groups for content in member.members})
+    token_lists = [content.split() for content in contents]
+    length = len(token_lists[0])
+    if any(len(tokens) != length for tokens in token_lists):
+        raise InternalInvariantError(
+            f"dense group with anchor {group.anchor_key!r} mixes raw token lengths"
+        )
+    masked: set[int] = set()
+    for member in group.member_groups:
+        for position, key_token in enumerate(member.key_tokens):
+            if key_token in MASK_TOKENS:
+                masked.add(position)
+    for position, column in enumerate(zip(*token_lists)):
+        if "<*>" in column[0] or len(set(column)) > 1:
+            masked.add(position)
+    template = " ".join(
+        "<*>" if position in masked else token_lists[0][position] for position in range(length)
+    )
+    positions = sorted(masked)
+    return {
+        content: TemplateResult(
+            template=template,
+            parameters=tuple(tokens[position] for position in positions),
+            source="statistical",
+        )
+        for content, tokens in zip(contents, token_lists)
+    }
 
 
 def naive_write_structured(rows) -> bytes:

@@ -87,6 +87,20 @@ class TestParseCommand:
         text = (out / "structured.csv").read_text()
         assert "job <*> finished" in text
 
+    def test_csv_field_over_the_field_limit_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "in.csv"
+        with open(source, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["LineId", "Content"])
+            writer.writerow([1, "x" * 200_000])
+        limit = csv.field_size_limit()
+        code = main([
+            "parse", "--input", str(source), "--format", "csv", "--output", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert str(source) in capsys.readouterr().err
+        assert csv.field_size_limit() == limit
+
     def test_http_backend_requires_endpoint(self, tmp_path, capsys):
         log = write_lines(tmp_path / "sample.log", ["a b"])
         code = main([
@@ -197,6 +211,22 @@ class TestEvalCommand:
         assert payload["metrics"] == {"GA": 1.0, "PA": 1.0, "FGA": 1.0, "FTA": 1.0}
         # run.json sits next to structured.csv, so cost counters flow through.
         assert payload["ledger"]["llm_invocations"] == 0
+
+    def test_structured_field_over_the_field_limit_exits_2(self, tmp_path, capsys):
+        # parse writes a 200k-character line as one structured.csv field,
+        # which csv.reader refuses to read back at its default field limit.
+        log = write_lines(tmp_path / "long.log", ["x" * 200_000])
+        out = tmp_path / "out"
+        assert main(["parse", "--input", str(log), "--output", str(out)]) == 0
+        capsys.readouterr()
+        limit = csv.field_size_limit()
+        code = main([
+            "eval", "--structured", str(out / "structured.csv"),
+            "--ground-truth", str(out / "structured.csv"), "--report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert str(out / "structured.csv") in capsys.readouterr().err
+        assert csv.field_size_limit() == limit
 
     def test_universe_mismatch_exits_2(self, tmp_path):
         structured = tmp_path / "structured.csv"

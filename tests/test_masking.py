@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import celerlog
 from celerlog.masking import (
+    _TOKEN_CACHE,
+    _TOKEN_CACHE_SIZE,
     EmptyMessageError,
     _parse_mask_rules,
     compile_header_pattern,
@@ -95,11 +97,12 @@ class TestMaskToken:
 
 # Pieces that exercise the peeling and the guard: brackets on both sides,
 # trailing punctuation, designated tokens embedded in longer tokens, lone
-# letters and values for every rule.
+# letters, values for every rule, and alphabetic words in every case,
+# non-ASCII ones included.
 TOKEN_PIECES = st.sampled_from(
     ["(", "[", "<", ")", "]", ">", ",", ":", ";", ".", "!", "?", "<NUM>", "<*>", "<CL>",
      "<SL", "NUM>", "s", "Z", "OK", "ERROR", "/", "=", "-", "_", "\\", "0x1f", "42", "3.5",
-     "blk9", "user", "path/to"]
+     "blk9", "user", "path/to", "Failed", "RETRIES", "é", "ß", "ǅ"]
 )
 mask_tokens_strategy = st.lists(TOKEN_PIECES, min_size=1, max_size=6).map("".join)
 
@@ -124,9 +127,16 @@ class TestMaskTokenAgainstOracle:
             lambda token: "<" in token and naive_mask_token(token, default_mask_rules()) != token,
             lambda token: _is_lone_letter(token) and len(token) == 1,
             lambda token: _is_lone_letter(token) and len(token) > 1,
+            lambda token: len(token) > 1 and token.isalpha() and token.islower(),
+            lambda token: len(token) > 1 and token.isalpha() and token.isupper(),
+            lambda token: len(token) > 1 and token.isalpha() and token.istitle(),
+            lambda token: "é" in token and token.isalpha(),
+            lambda token: "ß" in token and token.isalpha(),
+            lambda token: "ǅ" in token and token.isalpha(),
         ],
         ids=["brackets", "trailing-punct", "embedded-num", "embedded-placeholder",
-             "bracket-masked", "lone-letter", "lone-letter-adjacent"],
+             "bracket-masked", "lone-letter", "lone-letter-adjacent", "lower-word",
+             "upper-word", "title-word", "e-acute", "sharp-s", "titlecase-dz"],
     )
     def test_generator_covers(self, feature):
         find(
@@ -144,12 +154,16 @@ def test_every_cache_is_bounded():
             if callable(getattr(value, "cache_info", None)):
                 maxsizes[f"{module_info.name}.{name}"] = value.cache_info().maxsize
     assert {
-        "celerlog.masking.mask_token",
         "celerlog.masking._lemmatize",
         "celerlog.statistical.post_process",
         "celerlog.statistical._alignment_pattern",
     } <= set(maxsizes)
     assert {name: size for name, size in maxsizes.items() if size is None} == {}
+    # mask_token's cache is a dict that empties itself when full.
+    for number in range(2 * _TOKEN_CACHE_SIZE + 1):
+        assert mask_message(f"tok{number} {number}")[0] == "<UCL> <NUM>"
+        assert len(_TOKEN_CACHE) <= _TOKEN_CACHE_SIZE
+    assert mask_token("x86") == "<UCL>"
 
 
 class TestMaskMessage:
@@ -215,7 +229,7 @@ class TestFixtures:
         rules = _parse_mask_rules(
             "# comment\n\nNUM\t\\d+\nCL\t.*=.*\nUCL\t.*\\d.*\nBL\t[A-Z]+\nSL\t[a-z]\n"
         )
-        assert [rule.replacement for rule in rules] == ["<NUM>", "<CL>", "<UCL>", "<BL>", "<SL>"]
+        assert [rule.name for rule in rules] == ["NUM", "CL", "UCL", "BL", "SL"]
         assert rules[0].pattern.fullmatch("42")
 
     def test_bad_rule_name_rejected(self):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import logging
 import os
 import subprocess
@@ -181,6 +182,20 @@ class _NoVariablesBackend:
         return BackendResponse(text=text, prompt_tokens=1, completion_tokens=1)
 
 
+class _CollectorProbeBackend(MockBackend):
+    """Waits, up to a few seconds in all, for the collector to come on."""
+
+    def __init__(self):
+        self.deadline = time.monotonic() + 5.0
+        self.saw_collector = False
+
+    def infer(self, envelope):
+        while not gc.isenabled() and time.monotonic() < self.deadline:
+            time.sleep(0.001)
+        self.saw_collector = self.saw_collector or gc.isenabled()
+        return super().infer(envelope)
+
+
 class TestRun:
     def test_snapshot_catalog(self, tmp_path):
         path = write_lines(tmp_path / "in.log", fig5_lines())
@@ -229,6 +244,47 @@ class TestRun:
         with pytest.raises(RuntimeError, match="backend bug"):
             run(path, RouterConfig(jobs=jobs), _BrokenBackend(), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    def test_run_restores_the_collector_setting(self, tmp_path, jobs, collecting):
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        caller = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            run(path, RouterConfig(jobs=jobs), MockBackend())
+            assert gc.isenabled() is collecting
+            with pytest.raises(RuntimeError, match="backend bug"):
+                run(path, RouterConfig(jobs=jobs), _BrokenBackend())
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if caller else gc.disable)()
+
+    def test_collector_off_while_computing_on_while_waiting(self, tmp_path, monkeypatch):
+        lines, _ = make_template_corpus(n_lines=400, n_templates=12, n_oneoffs=40, seed=13)
+        path = write_lines(tmp_path / "in.log", lines)
+        computing: list[bool] = []
+        extract, finalize_all = statistical.extract_template, statistical.finalize_all
+
+        def record_then(function):
+            def wrapped(*args):
+                computing.append(gc.isenabled())
+                return function(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(statistical, "extract_template", record_then(extract))
+        monkeypatch.setattr(statistical, "finalize_all", record_then(finalize_all))
+        waiting = _CollectorProbeBackend()
+        caller = gc.isenabled()
+        gc.enable()
+        try:
+            run(path, RouterConfig(jobs=1), waiting)
+        finally:
+            (gc.enable if caller else gc.disable)()
+        assert computing and not any(computing)
+        assert waiting.saw_collector
 
     def test_run_leaves_start_method_unset(self, tmp_path):
         # A fresh interpreter, since anything earlier in this one may have

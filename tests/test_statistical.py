@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from celerlog.model import (
     PLACEHOLDER,
@@ -20,7 +22,7 @@ from celerlog.statistical import (
     post_process,
 )
 from corpus import fig5_lines
-from oracles import brute_force_masked_positions
+from oracles import MASK_TOKENS, brute_force_masked_positions, naive_extract_template
 
 
 def dense_group_from(lines):
@@ -87,7 +89,6 @@ class TestExtractTemplate:
         for line in lines:
             assert line in results
 
-
     def test_mixed_token_lengths_raise(self):
         # route() never builds such a group: masking is token for token and a
         # bucket holds one key length.
@@ -95,6 +96,97 @@ class TestExtractTemplate:
         group = DenseGroup(member_groups=(short, long), anchor_key="a b")
         with pytest.raises(InternalInvariantError, match="'a b'"):
             extract_template(group)
+        with pytest.raises(InternalInvariantError, match="'a b'"):
+            naive_extract_template(group)
+
+
+# Tokens for one position of a generated group: values whose key holds a
+# designated token inside a longer token, literal designated tokens and
+# placeholders in the raw text, maskable values and plain words.
+GROUP_TOKENS = [
+    "(123)", "(45)", "7,", "8,", "[0x1f]", "[0x2a]", "<*>", "x<*>", "<NUM>", "(<NUM>)",
+    "42", "0x3f", "a/b", "k=1", "OK", "red", "blue", "Failed", "s",
+]
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+
+
+@st.composite
+def dense_lines(draw):
+    """Lines of one token length; each position draws from a small pool, so
+    some positions stay constant and others vary."""
+    length = draw(st.integers(1, 5))
+    pools = [
+        draw(st.lists(st.sampled_from(GROUP_TOKENS), min_size=1, max_size=3, unique=True))
+        for _ in range(length)
+    ]
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for position, pool in enumerate(pools):
+            if position:
+                line += draw(SEPARATORS)
+            line += draw(st.sampled_from(pool))
+        lines.append(line + draw(st.sampled_from(["", " "])))
+    return lines
+
+
+def groups_under_test(lines):
+    """The merged group of every skeleton in ``lines``, then each skeleton alone."""
+    groups = group_by_skeleton([LogRecord(i, line) for i, line in enumerate(lines)])
+    merged = DenseGroup(member_groups=tuple(groups), anchor_key=groups[0].key)
+    return [merged] + [DenseGroup(member_groups=(group,)) for group in groups]
+
+
+def _merged_keys_differ_at_a_constant_position(lines):
+    keys = [group.key_tokens for group in groups_under_test(lines)[0].member_groups]
+    return any(
+        len(set(column)) > 1 and not set(column) & set(MASK_TOKENS) for column in zip(*keys)
+    )
+
+
+def _template_keeps(token):
+    def feature(lines):
+        merged = groups_under_test(lines)[0]
+        return token in next(iter(naive_extract_template(merged).values())).template.split()
+
+    return feature
+
+
+def _contained_designated_token_varies(lines):
+    columns = zip(*(line.split() for line in lines))
+    return any({"(123)", "(45)"} <= set(column) for column in columns)
+
+
+class TestExtractTemplateAgainstOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(dense_lines())
+    def test_equals_naive_extract_template(self, lines):
+        for group in groups_under_test(lines):
+            assert extract_template(group) == naive_extract_template(group)
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            _template_keeps("(123)"),
+            _template_keeps("7,"),
+            _template_keeps("[0x1f]"),
+            _contained_designated_token_varies,
+            lambda lines: any("<*>" in token for line in lines for token in line.split()),
+            lambda lines: any("<NUM>" in token for line in lines for token in line.split()),
+            _merged_keys_differ_at_a_constant_position,
+            lambda lines: len(set(lines)) == 1,
+            lambda lines: any("\t" in line for line in lines) and any("  " in line for line in lines),
+        ],
+        ids=["paren-number-kept", "number-comma-kept", "bracket-hex-kept",
+             "paren-number-varies", "literal-placeholder", "literal-designated-token",
+             "merged-keys-differ", "one-message", "tab-and-space-runs"],
+    )
+    def test_generator_covers(self, feature):
+        find(
+            dense_lines(),
+            feature,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
 
 
 class TestPostProcess:
