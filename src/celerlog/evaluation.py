@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import PLACEHOLDER, ConfigError
 
 
-@dataclass(frozen=True, slots=True)
-class Metrics:
+class Metrics(NamedTuple):
     ga: float
     pa: float
     fga: float
@@ -51,10 +50,22 @@ def load_template_csv(path: str | Path) -> dict[int, str]:
             if "EventTemplate" not in reader.fieldnames:
                 raise ConfigError(f"{path} has no EventTemplate column")
             for row in reader:
-                line_id = int(row["LineId"])
+                # DictReader fills the cells a short row lacks with None.
+                value, template = row["LineId"], row["EventTemplate"]
+                if value is None or template is None:
+                    raise ConfigError(
+                        f"{path} line {reader.line_num} has no LineId or EventTemplate cell"
+                    )
+                try:
+                    line_id = int(value)
+                except ValueError:
+                    raise ConfigError(
+                        f"{path} line {reader.line_num} has a LineId that is not an "
+                        f"integer: {value!r}"
+                    ) from None
                 if line_id in mapping:
                     raise ConfigError(f"{path} lists line id {line_id} more than once")
-                mapping[line_id] = row["EventTemplate"]
+                mapping[line_id] = template
         except csv.Error as exc:
             # Raised, among others, for a field over csv.field_size_limit().
             raise ConfigError(f"cannot read {path}: {exc}") from exc

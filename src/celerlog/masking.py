@@ -9,9 +9,9 @@ package (data/mask_rules.tsv) so the behaviour is frozen and testable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .model import MASK_TOKENS, PLACEHOLDER, CelerlogError, ConfigError
 
@@ -34,8 +34,7 @@ class EmptyMessageError(CelerlogError):
     """Raised when a message has no tokens to mask."""
 
 
-@dataclass(frozen=True, slots=True)
-class MaskRule:
+class MaskRule(NamedTuple):
     name: str
     pattern: re.Pattern
 

@@ -1,9 +1,18 @@
-"""Shared domain types and run configuration."""
+"""Shared domain types and run configuration.
+
+The value types here, and those in ``pipeline``, ``routing``, ``llm``,
+``masking`` and ``evaluation``, are ``typing.NamedTuple`` classes: immutable,
+with no ``__dict__``, so assigning any attribute raises ``AttributeError``.
+They are also tuples: an instance compares equal to the plain tuple of its
+fields, iterates over its fields and has a ``len()``. Tuples keep both
+building an instance and importing the package cheap (README "Memory and
+start-up").
+"""
 
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 #: Placeholder written into final templates for every parameter position.
 PLACEHOLDER = "<*>"
@@ -28,16 +37,14 @@ class InternalInvariantError(CelerlogError):
     """A should-never-happen condition; indicates a bug upstream of the caller."""
 
 
-@dataclass(frozen=True, slots=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     """One raw log message body with its input position."""
 
     line_id: int
     content: str
 
 
-@dataclass(frozen=True, slots=True)
-class SkeletonGroup:
+class SkeletonGroup(NamedTuple):
     """All records sharing one masked skeleton; the skeleton is the group key."""
 
     key: str
@@ -50,16 +57,14 @@ class SkeletonGroup:
         return len(self.members)
 
 
-@dataclass(frozen=True, slots=True)
-class LogBucket:
+class LogBucket(NamedTuple):
     """Skeleton groups whose keys share one token length; the unit of anchor merging."""
 
     length: int
     groups: tuple[SkeletonGroup, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class DenseGroup:
+class DenseGroup(NamedTuple):
     """Skeleton groups merged together and bound for the statistical processor.
 
     anchor_key is None when the containing bucket was bypass-routed and no
@@ -82,15 +87,13 @@ class DenseGroup:
         return sorted(seen)
 
 
-@dataclass(frozen=True, slots=True)
-class SparseGroup:
+class SparseGroup(NamedTuple):
     """A single unmerged skeleton group bound for the LLM processor."""
 
     group: SkeletonGroup
 
 
-@dataclass(frozen=True, slots=True)
-class RouterConfig:
+class RouterConfig(NamedTuple):
     """Knobs for routing, merging, parallelism and LLM batching."""
 
     alpha: float = 0.5
@@ -125,11 +128,10 @@ class RouterConfig:
             raise ConfigError(f"batch-size must be >= 1, got {self.llm_batch_size}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True, slots=True)
-class TemplateResult:
+class TemplateResult(NamedTuple):
     """A final template with the parameters extracted from one message."""
 
     template: str

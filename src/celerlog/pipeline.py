@@ -8,6 +8,9 @@ pool and the skeletons passed to ``route()``. On a 2-vCPU machine the pool
 no longer pays (dense-40k ``parse_s_jN`` 1.13 s with it against 1.06 s
 without, README "Notes on parallelism"); it stays for machines with at
 least 4 cores, where the acceptance suite asks ``--jobs 8`` to be faster.
+``multiprocessing`` and ``ProcessPoolExecutor`` are imported only on that
+pool path, in ``_fork_ready`` and ``_mask_on_pool``: importing them took
+about 22 ms of every start-up.
 
 Sparse groups wait on the backend, so ``llm.process_sparse`` runs as one
 thread-pool future while the dense side computes, at every ``jobs`` value;
@@ -30,14 +33,12 @@ import gc
 import io
 import json
 import logging
-import multiprocessing
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from . import llm, statistical
 from .masking import compile_header_pattern, mask_message, strip_header
@@ -62,29 +63,22 @@ _PARALLEL_THRESHOLD = 2000
 _ROWS_PER_WRITE = 256
 
 
-@dataclass(frozen=True, slots=True)
-class IngestStats:
+class IngestStats(NamedTuple):
     record_count: int
     blank_lines: int
     decode_errors: int
 
     def to_dict(self) -> dict:
-        return {
-            "record_count": self.record_count,
-            "blank_lines": self.blank_lines,
-            "decode_errors": self.decode_errors,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedRecord:
+class ParsedRecord(NamedTuple):
     line_id: int
     content: str
     result: TemplateResult
 
 
-@dataclass(slots=True)
-class RunResult:
+class RunResult(NamedTuple):
     rows: list[ParsedRecord]
     catalog: Counter
     ledger: CostLedger
@@ -159,6 +153,8 @@ def ingest(
 
 
 def _fork_ready() -> bool:
+    import multiprocessing
+
     # Asking for the start method would fix it for the whole process.
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -180,6 +176,9 @@ def _mask_on_pool(records: Sequence[LogRecord], jobs: int) -> list[str]:
     first failed chunk cancels the chunks not yet started and raises at once,
     without waiting for the running ones.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = _effective_workers(jobs)
     contents = [record.content for record in records]
     size = max(1, -(-len(contents) // (workers * 4)))

@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .masking import extract_verbs, mask_message
 from .model import (
@@ -37,8 +36,7 @@ from .model import (
 )
 
 
-@dataclass(slots=True)
-class MergeState:
+class MergeState(NamedTuple):
     """Bookkeeping for one anchor round, kept for tracing and tests."""
 
     anchor_key: str
@@ -47,8 +45,7 @@ class MergeState:
     k_limit: int
 
 
-@dataclass(frozen=True, slots=True)
-class RoutingStats:
+class RoutingStats(NamedTuple):
     skeleton_groups: int
     buckets: int
     dense_groups: int
@@ -57,14 +54,7 @@ class RoutingStats:
     sparse_records: int
 
     def to_dict(self) -> dict:
-        return {
-            "skeleton_groups": self.skeleton_groups,
-            "buckets": self.buckets,
-            "dense_groups": self.dense_groups,
-            "sparse_groups": self.sparse_groups,
-            "dense_records": self.dense_records,
-            "sparse_records": self.sparse_records,
-        }
+        return self._asdict()
 
 
 def group_by_skeleton(

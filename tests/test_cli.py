@@ -256,6 +256,30 @@ class TestEvalCommand:
         assert code == 2
         assert "numbers non-blank records from 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("header", "row", "named"),
+        [
+            ("LineId,EventTemplate", "abc,a", "'abc'"),
+            ("EventTemplate,LineId", "a", "no LineId or EventTemplate cell"),
+            ("LineId,EventTemplate", "1", "no LineId or EventTemplate cell"),
+        ],
+        ids=["line-id-not-integer", "no-line-id-cell", "no-template-cell"],
+    )
+    def test_malformed_ground_truth_row_exits_2(self, tmp_path, capsys, header, row, named):
+        structured = tmp_path / "structured.csv"
+        structured.write_text("LineId,EventTemplate\n0,a\n1,a\n", encoding="utf-8")
+        gt = tmp_path / "gt.csv"
+        first = "a,0" if header.startswith("EventTemplate") else "0,a"
+        gt.write_text(f"{header}\n{first}\n{row}\n", encoding="utf-8")
+        code = main([
+            "eval", "--structured", str(structured),
+            "--ground-truth", str(gt), "--report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("celerlog: error: ")
+        assert str(gt) in err and named in err
+
 
 class TestFlagSurface:
     def test_defaults_equal_router_config(self):

@@ -1,6 +1,8 @@
 import json
+import sys
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -197,6 +199,33 @@ class AlwaysTimeoutBackend:
         raise TransportError("injected timeout")
 
 
+class InflightCountingBackend(MockBackend):
+    """Answers as the mock after a delay, recording each batch and the most
+    requests in flight at once; raises on the batch holding ``fail_on``."""
+
+    def __init__(self, delay: float, fail_on: str | None = None):
+        self.delay = delay
+        self.fail_on = fail_on
+        self.batches: list[tuple[str, ...]] = []
+        self.inflight = 0
+        self.inflight_max = 0
+        self._lock = threading.Lock()
+
+    def infer(self, envelope: PromptEnvelope):
+        with self._lock:
+            self.batches.append(envelope.messages)
+            self.inflight += 1
+            self.inflight_max = max(self.inflight_max, self.inflight)
+        try:
+            time.sleep(self.delay)
+            if self.fail_on in envelope.messages:
+                raise RuntimeError(f"backend bug on {self.fail_on}")
+            return super().infer(envelope)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
 class TestProcessSparse:
     def test_no_groups_no_invocations(self):
         ledger = CostLedger()
@@ -249,6 +278,35 @@ class TestProcessSparse:
             results = process_sparse(groups, MockBackend(), RouterConfig(jobs=jobs), ledger)
             outcomes.append((results, ledger.llm_invocations, ledger.tokens_consumed))
         assert outcomes[0] == outcomes[1]
+
+    def test_workers_send_each_batch_once_within_jobs(self):
+        groups = [sparse_group(f"event kind{i} on host{i} now", i) for i in range(20)]
+        config = RouterConfig(jobs=3, llm_batch_size=2)
+        backend = InflightCountingBackend(delay=0.02)
+        ledger = CostLedger()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = process_sparse(groups, backend, config, ledger)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(backend.batches) == 10
+        assert 2 <= backend.inflight_max <= 3
+        requested = Counter(message for batch in backend.batches for message in batch)
+        assert requested == Counter(next(iter(g.group.members)) for g in groups)
+
+        serial_ledger = CostLedger()
+        serial = process_sparse(
+            groups, MockBackend(), RouterConfig(jobs=1, llm_batch_size=2), serial_ledger
+        )
+        assert results == serial
+        assert ledger.to_dict() == serial_ledger.to_dict()
+
+    def test_backend_error_in_one_batch_propagates(self):
+        groups = [sparse_group(f"event kind{i} on host{i} now", i) for i in range(20)]
+        backend = InflightCountingBackend(delay=0.001, fail_on="event kind13 on host13 now")
+        with pytest.raises(RuntimeError, match="kind13"):
+            process_sparse(groups, backend, RouterConfig(jobs=3, llm_batch_size=2), CostLedger())
 
 
 class _StubHandler(BaseHTTPRequestHandler):

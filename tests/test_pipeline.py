@@ -305,20 +305,55 @@ class TestRun:
         assert child.stdout.strip() == "None"
 
     def test_mock_run_never_imports_requests(self, tmp_path):
-        # A fresh interpreter, since an earlier HTTP test may have imported it.
+        # A fresh interpreter, since an earlier test may have imported them.
+        # Neither dataclasses nor multiprocessing loads for a jobs=1 run.
         path = write_lines(tmp_path / "in.log", fig5_lines())
         script = (
             "import sys\n"
             "import celerlog\n"
-            "celerlog.run(sys.argv[1], backend=celerlog.MockBackend())\n"
-            "print('requests' in sys.modules)\n"
+            "modules = ('requests', 'dataclasses', 'multiprocessing')\n"
+            "print([name for name in modules if name in sys.modules])\n"
+            "celerlog.run(sys.argv[1], celerlog.RouterConfig(jobs=1), celerlog.MockBackend())\n"
+            "print([name for name in modules if name in sys.modules])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
         child = subprocess.run(
             [sys.executable, "-c", script, str(path)],
             capture_output=True, text=True, env=env, check=True, timeout=120,
         )
-        assert child.stdout.strip() == "False"
+        assert child.stdout.splitlines() == ["[]", "[]"]
+
+    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    def test_pool_run_imports_multiprocessing_itself(self, tmp_path):
+        # A fresh interpreter that has never imported multiprocessing: the
+        # jobs=2 run must import it, take the pool and write the jobs=1 bytes.
+        lines, _ = make_template_corpus(
+            n_lines=pipeline._PARALLEL_THRESHOLD + 500, n_templates=15, n_oneoffs=50, seed=23
+        )
+        path = write_lines(tmp_path / "in.log", lines)
+        script = (
+            "import sys\n"
+            "from celerlog import RouterConfig, pipeline, run\n"
+            "pooled = []\n"
+            "mask_on_pool = pipeline._mask_on_pool\n"
+            "def recorded(*args):\n"
+            "    pooled.append(True)\n"
+            "    return mask_on_pool(*args)\n"
+            "pipeline._mask_on_pool = recorded\n"
+            "run(sys.argv[1], RouterConfig(jobs=1), out_dir=sys.argv[2])\n"
+            "print('multiprocessing' in sys.modules, pooled)\n"
+            "run(sys.argv[1], RouterConfig(jobs=2), out_dir=sys.argv[3])\n"
+            "print('multiprocessing' in sys.modules, pooled)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(path), str(serial), str(pooled)],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        assert child.stdout.splitlines() == ["False []", "True [True]"]
+        for name in ("structured.csv", "templates.csv"):
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
     def test_wall_time_recorded(self, tmp_path):
         path = write_lines(tmp_path / "in.log", fig5_lines())
