@@ -40,12 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="anchor budget as a fraction of bucket size")
     parse_cmd.add_argument("--p-quantile", type=float, default=defaults.p_quantile,
                            help="singleton-ratio limit for threshold selection")
-    parse_cmd.add_argument("--tau-step", type=float, default=defaults.tau_step,
-                           help="similarity sweep increment")
-    parse_cmd.add_argument("--bypass-length", type=int, default=defaults.bypass_length,
-                           help="buckets of keys this short skip merging")
-    parse_cmd.add_argument("--bypass-groups", type=int, default=defaults.bypass_group_count,
-                           help="buckets with this few groups skip merging")
     parse_cmd.add_argument("--jobs", type=int, default=defaults.jobs,
                            help="worker count for masking and in-flight requests")
     parse_cmd.add_argument("--batch-size", type=int, default=defaults.llm_batch_size,
@@ -68,9 +62,6 @@ def _run_parse(args: argparse.Namespace) -> int:
     config = RouterConfig(
         alpha=args.alpha,
         p_quantile=args.p_quantile,
-        tau_step=args.tau_step,
-        bypass_length=args.bypass_length,
-        bypass_group_count=args.bypass_groups,
         jobs=args.jobs,
         llm_batch_size=args.batch_size,
     )

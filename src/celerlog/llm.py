@@ -319,7 +319,8 @@ def process_sparse(
     backoff; a terminal transport failure, a requested wait above
     ``MAX_RETRY_AFTER_SECONDS``, exhausted retries and malformed replies all
     degrade to rollbacks, never to exceptions. Every attempt counts as an
-    invocation.
+    invocation. Any other exception the backend raises propagates, and no
+    batch is sent after it.
     """
     contents: list[str] = []
     for item in sorted(groups, key=lambda s: s.group.key):
@@ -374,14 +375,20 @@ def process_sparse(
     outcomes: list[dict[str, TemplateResult]] = [{}] * len(batches)
     indices = iter(range(len(batches)))
     lock = threading.Lock()
+    # Set when a batch raises; no worker draws a batch after that.
+    failed = threading.Event()
 
     def work() -> None:
-        while True:
+        while not failed.is_set():
             with lock:
                 index = next(indices, None)
             if index is None:
                 return
-            outcomes[index] = handle(batches[index])
+            try:
+                outcomes[index] = handle(batches[index])
+            except BaseException:
+                failed.set()
+                raise
 
     workers = min(config.jobs, len(batches))
     with ThreadPoolExecutor(max_workers=workers) as executor:

@@ -94,15 +94,12 @@ class SparseGroup(NamedTuple):
 
 
 class RouterConfig(NamedTuple):
-    """Knobs for routing, merging, parallelism and LLM batching."""
+    """The anchor budget and quantile limit of routing, the worker count and
+    the LLM batch size. The threshold grid and the bypass rule are constants
+    of ``routing``."""
 
     alpha: float = 0.5
     p_quantile: float = 0.95
-    tau_min: float = 0.5
-    tau_max: float = 0.95
-    tau_step: float = 0.01
-    bypass_length: int = 3
-    bypass_group_count: int = 2
     jobs: int = 8
     llm_batch_size: int = 1
 
@@ -111,17 +108,6 @@ class RouterConfig(NamedTuple):
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.p_quantile <= 1.0:
             raise ConfigError(f"p-quantile must be in (0, 1], got {self.p_quantile}")
-        if not 0.0 <= self.tau_min < self.tau_max <= 1.0:
-            raise ConfigError(
-                f"similarity sweep bounds must satisfy 0 <= tau_min < tau_max <= 1, "
-                f"got [{self.tau_min}, {self.tau_max}]"
-            )
-        if self.tau_step <= 0.0:
-            raise ConfigError(f"tau-step must be positive, got {self.tau_step}")
-        if self.bypass_length < 0:
-            raise ConfigError(f"bypass-length must be >= 0, got {self.bypass_length}")
-        if self.bypass_group_count < 0:
-            raise ConfigError(f"bypass-groups must be >= 0, got {self.bypass_group_count}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.llm_batch_size < 1:

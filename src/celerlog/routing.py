@@ -2,12 +2,14 @@
 
 Each bucket is an independent work unit. Inside a bucket the largest group
 (by distinct messages) anchors a merge round: candidates join the anchor when
-their position-aware Jaccard similarity clears a dynamically chosen threshold
-and their verb set covers the anchor's. Groups left over once the anchor
-budget is spent become sparse groups. Each bucket is indexed once by
-(position, token), so an anchor round reads the anchor's posting lists
-instead of comparing the anchor with every candidate (the token-position
-idea of Drain's fixed-depth tree).
+their position-aware Jaccard similarity clears a threshold chosen per round
+from the fixed ``TAU_GRID`` and their verb set covers the anchor's. Groups
+left over once the anchor budget is spent become sparse groups, and buckets
+of short keys or few groups skip merging (``BYPASS_LENGTH``,
+``BYPASS_GROUP_COUNT``). Each bucket is indexed once by (position, token),
+so an anchor round reads the anchor's posting lists instead of comparing the
+anchor with every candidate (the token-position idea of Drain's fixed-depth
+tree).
 
 ``route()`` is the one routing path, for library callers and ``pipeline.run``
 alike. It takes optional precomputed skeletons, which ``pipeline.run`` fills
@@ -18,7 +20,6 @@ named.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain
@@ -34,6 +35,16 @@ from .model import (
     SkeletonGroup,
     SparseGroup,
 )
+
+
+#: The grid the merge threshold is swept over: 0.50 to 0.95 in steps of 0.01.
+TAU_GRID = tuple(round(0.5 + i * 0.01, 12) for i in range(46))
+
+#: A bucket whose keys have at most this many tokens skips merging.
+BYPASS_LENGTH = 3
+
+#: A bucket holding at most this many skeleton groups skips merging.
+BYPASS_GROUP_COUNT = 2
 
 
 class MergeState(NamedTuple):
@@ -102,10 +113,11 @@ def select_threshold(similarities: Sequence[float], config: RouterConfig) -> flo
     """Pick the merge threshold from the singleton ratio curve.
 
     The singleton ratio at ``tau`` is the fraction of candidate scores below
-    it. Sweep tau upward over the grid; at the first grid point where the
-    ratio reaches the quantile limit, back off one step (clamped to the lower
-    bound). If the limit is never reached the sweep's upper bound wins. One
-    sort lets each grid point count the scores below it by bisection.
+    it. Sweep tau upward over ``TAU_GRID`` (0.50 to 0.95, step 0.01); at the
+    first grid point where the ratio reaches ``config.p_quantile``, back off
+    to the grid point before it (0.50 stays 0.50). If the limit is never
+    reached the sweep ends at 0.95. One sort lets each grid point count the
+    scores below it by bisection.
     """
     return _sweep_threshold(sorted(similarities), 0, config)
 
@@ -114,13 +126,12 @@ def _sweep_threshold(ordered: Sequence[float], zeros: int, config: RouterConfig)
     """``select_threshold`` over the ascending scores ``ordered`` plus
     ``zeros`` more scores of 0, counted rather than listed."""
     total = len(ordered) + zeros
-    steps = int(math.floor((config.tau_max - config.tau_min) / config.tau_step + 1e-9))
-    for i in range(steps + 1):
-        tau = round(config.tau_min + i * config.tau_step, 12)
-        below = bisect_left(ordered, tau) + (zeros if tau > 0.0 else 0)
-        if total and below / total >= config.p_quantile:
-            return max(round(tau - config.tau_step, 12), config.tau_min)
-    return config.tau_max
+    previous = TAU_GRID[0]
+    for tau in TAU_GRID:
+        if total and (bisect_left(ordered, tau) + zeros) / total >= config.p_quantile:
+            return previous
+        previous = tau
+    return TAU_GRID[-1]
 
 
 def merge_bucket(
@@ -130,7 +141,8 @@ def merge_bucket(
 ) -> tuple[list[DenseGroup], list[SparseGroup]]:
     """Run anchor-based merging over one bucket.
 
-    Short buckets and near-empty buckets bypass merging entirely: every
+    A bucket whose keys have at most ``BYPASS_LENGTH`` tokens, or which holds
+    at most ``BYPASS_GROUP_COUNT`` groups, bypasses merging entirely: every
     skeleton group goes straight to the statistical side as its own dense
     group. Otherwise anchors are drawn in decreasing distinct-message order
     (ties broken by key) until the bucket empties or the anchor budget
@@ -144,7 +156,7 @@ def merge_bucket(
     ``L`` posting lists instead of comparing the anchor with each candidate;
     a candidate sharing no position scores 0.
     """
-    if bucket.length <= config.bypass_length or len(bucket.groups) <= config.bypass_group_count:
+    if bucket.length <= BYPASS_LENGTH or len(bucket.groups) <= BYPASS_GROUP_COUNT:
         return [DenseGroup(member_groups=(group,)) for group in bucket.groups], []
 
     ordered = sorted(bucket.groups, key=lambda g: (-g.unique_count, g.key))
@@ -174,9 +186,9 @@ def merge_bucket(
             chain.from_iterable(postings[slot] for slot in enumerate(ordered[anchor].key_tokens))
         )
         scores = {index: m / (double_length - m) for index, m in matches.items() if index in alive}
-        # Candidates missing from ``scores`` score 0, which clears only tau 0.
+        # Candidates missing from ``scores`` score 0, below every grid point.
         tau = _sweep_threshold(sorted(scores.values()), len(alive) - len(scores), config)
-        hits = sorted(alive) if tau <= 0.0 else sorted(i for i, s in scores.items() if s >= tau)
+        hits = sorted(i for i, s in scores.items() if s >= tau)
         anchor_verbs = verbs_of(anchor)
         matched = [anchor] + [index for index in hits if anchor_verbs <= verbs_of(index)]
         dense.append(

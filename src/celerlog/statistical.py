@@ -98,24 +98,19 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
 @lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
 def post_process(template: str) -> str:
     """Refine a template: mask leftover variable-shaped tokens, collapse runs
-    of placeholders, and collapse placeholder composites like ``<*>:<*>``."""
-    tokens = []
+    of placeholders, and collapse placeholder composites like ``<*>:<*>``.
+
+    Composites collapse first, since one can leave a new ``<*>`` next to
+    another; collapsing a run never changes a token, so one pass suffices.
+    """
+    tokens: list[str] = []
     for token in template.split():
         if PLACEHOLDER not in token and mask_token(token) != token:
-            tokens.append(PLACEHOLDER)
+            token = PLACEHOLDER
         else:
+            token = _collapse_composites(token)
+        if token != PLACEHOLDER or not tokens or tokens[-1] != PLACEHOLDER:
             tokens.append(token)
-
-    while True:
-        collapsed: list[str] = []
-        for token in tokens:
-            if token == PLACEHOLDER and collapsed and collapsed[-1] == PLACEHOLDER:
-                continue
-            collapsed.append(token)
-        rewritten = [_collapse_composites(token) for token in collapsed]
-        if rewritten == tokens:
-            break
-        tokens = rewritten
     return " ".join(tokens)
 
 

@@ -2,7 +2,8 @@
 
 Everything here favours obviousness over speed: pairwise scans, per-record
 set rebuilds, no shared helpers with the package under test. The reference
-merge borrows only the package's data types and its verb extractor.
+merge borrows only the package's data types and its verb extractor, and the
+reference post-process only its token masker.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 
-from celerlog.masking import extract_verbs
+from celerlog.masking import extract_verbs, mask_token
 from celerlog.model import (
     DenseGroup,
     InternalInvariantError,
@@ -97,6 +99,37 @@ def naive_write_structured(rows) -> bytes:
         ]
         writer.writerow([row.line_id, row.content, row.result.template, "|".join(escaped)])
     return buffer.getvalue().encode("utf-8")
+
+
+def naive_post_process(template: str) -> str:
+    """Mask leftover variable-shaped tokens, then collapse composites such as
+    ``<*>:<*>`` and runs of ``<*>`` alternately until neither changes.
+
+    Only ``mask_token`` is borrowed from the package.
+    """
+    tokens = []
+    for token in template.split():
+        if "<*>" not in token and mask_token(token) != token:
+            tokens.append("<*>")
+        else:
+            tokens.append(token)
+    while True:
+        collapsed: list[str] = []
+        for token in tokens:
+            if token == "<*>" and collapsed and collapsed[-1] == "<*>":
+                continue
+            collapsed.append(token)
+        rewritten = []
+        for token in collapsed:
+            while True:
+                replaced = re.sub(r"<\*>[:=/]<\*>", "<*>", token)
+                if replaced == token:
+                    break
+                token = replaced
+            rewritten.append(token)
+        if rewritten == tokens:
+            return " ".join(tokens)
+        tokens = rewritten
 
 
 def naive_normalize(template: str) -> str:
@@ -208,22 +241,29 @@ def singleton_ratio(similarities: list[float], tau: float) -> float:
 
 
 def naive_select_threshold(similarities: list[float], config: RouterConfig) -> float:
-    """The threshold sweep, recounting the singleton ratio at every grid point."""
-    steps = int(math.floor((config.tau_max - config.tau_min) / config.tau_step + 1e-9))
+    """The threshold sweep from 0.50 to 0.95 in steps of 0.01, recounting the
+    singleton ratio at every grid point.
+
+    The grid is written out here rather than read from ``routing``, so a
+    changed routing constant fails the differential tests.
+    """
+    tau_min, tau_max, tau_step = 0.5, 0.95, 0.01
+    steps = int(math.floor((tau_max - tau_min) / tau_step + 1e-9))
     for i in range(steps + 1):
-        tau = round(config.tau_min + i * config.tau_step, 12)
+        tau = round(tau_min + i * tau_step, 12)
         if singleton_ratio(similarities, tau) >= config.p_quantile:
-            return max(round(tau - config.tau_step, 12), config.tau_min)
-    return config.tau_max
+            return max(round(tau - tau_step, 12), tau_min)
+    return tau_max
 
 
 def naive_merge_bucket(bucket: LogBucket, config: RouterConfig):
     """Anchor merging that scores every candidate against every anchor.
 
     Returns the dense groups, the sparse groups and one ``MergeState`` per
-    anchor round, as ``routing.merge_bucket`` with a trace list does.
+    anchor round, as ``routing.merge_bucket`` with a trace list does. A bucket
+    of keys of at most 3 tokens, or of at most 2 groups, is not merged.
     """
-    if bucket.length <= config.bypass_length or len(bucket.groups) <= config.bypass_group_count:
+    if bucket.length <= 3 or len(bucket.groups) <= 2:
         return [DenseGroup(member_groups=(group,)) for group in bucket.groups], [], []
     remaining = sorted(bucket.groups, key=lambda g: (-g.unique_count, g.key))
     k_limit = max(1, int(config.alpha * len(remaining) + 1e-9))
@@ -239,7 +279,7 @@ def naive_merge_bucket(bucket: LogBucket, config: RouterConfig):
         if candidates:
             tau = naive_select_threshold(list(similarities.values()), config)
         else:
-            tau = config.tau_max
+            tau = 0.95
         matched = [anchor]
         for candidate in candidates:
             if similarities[candidate.key] >= tau and extract_verbs(anchor.key) <= extract_verbs(

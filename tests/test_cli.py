@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from celerlog.model import RouterConfig
 from corpus import fig5_lines
 
 GOLDEN_HELP = Path(__file__).parent / "data" / "cli_help.txt"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def write_lines(path, lines):
@@ -69,6 +72,15 @@ class TestParseCommand:
 
     def test_unknown_flag_exits_2(self):
         assert main(["parse", "--frobnicate"]) == 2
+
+    def test_removed_tau_step_flag_exits_2(self, tmp_path, capsys):
+        log = write_lines(tmp_path / "sample.log", ["a b"])
+        code = main([
+            "parse", "--input", str(log), "--output", str(tmp_path / "o"), "--tau-step", "0.05",
+        ])
+        assert code == 2
+        assert "--tau-step" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_no_subcommand_exits_2(self):
         assert main([]) == 2
@@ -288,11 +300,22 @@ class TestFlagSurface:
         defaults = RouterConfig()
         assert args.alpha == defaults.alpha
         assert args.p_quantile == defaults.p_quantile
-        assert args.tau_step == defaults.tau_step
-        assert args.bypass_length == defaults.bypass_length
-        assert args.bypass_groups == defaults.bypass_group_count
         assert args.jobs == defaults.jobs
         assert args.batch_size == defaults.llm_batch_size
+
+    def test_readme_table_lists_every_parse_flag(self):
+        readme = README.read_text(encoding="utf-8")
+        table = readme[readme.index("`celerlog parse`\n"):].split("\n\n")[1]
+        documented = re.findall(r"^\| `(--[a-z-]+)", table, flags=re.MULTILINE)
+        parse_cmd = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices["parse"]
+        defined = [
+            option for action in parse_cmd._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        ]
+        assert sorted(documented) == sorted(defined)
 
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0

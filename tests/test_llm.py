@@ -308,6 +308,25 @@ class TestProcessSparse:
         with pytest.raises(RuntimeError, match="kind13"):
             process_sparse(groups, backend, RouterConfig(jobs=3, llm_batch_size=2), CostLedger())
 
+    def test_no_batch_is_sent_after_one_raised(self):
+        # The failing batch raises at once while the others take 50 ms, so
+        # the failure comes before any worker could draw a second batch.
+        class FailFastBackend(InflightCountingBackend):
+            def infer(self, envelope):
+                if self.fail_on in envelope.messages:
+                    with self._lock:
+                        self.batches.append(envelope.messages)
+                    raise RuntimeError(f"backend bug on {self.fail_on}")
+                return super().infer(envelope)
+
+        groups = [sparse_group(f"event kind{i} on host{i} now", i) for i in range(20)]
+        first = min(next(iter(g.group.members)) for g in groups)
+        backend = FailFastBackend(delay=0.05, fail_on=first)
+        with pytest.raises(RuntimeError, match="backend bug"):
+            process_sparse(groups, backend, RouterConfig(jobs=3, llm_batch_size=2), CostLedger())
+        assert any(first in batch for batch in backend.batches)
+        assert len(backend.batches) <= 3
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     requests_seen: list = []

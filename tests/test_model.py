@@ -62,11 +62,6 @@ def test_router_config_to_dict_keys_and_values():
     assert RouterConfig().to_dict() == {
         "alpha": 0.5,
         "p_quantile": 0.95,
-        "tau_min": 0.5,
-        "tau_max": 0.95,
-        "tau_step": 0.01,
-        "bypass_length": 3,
-        "bypass_group_count": 2,
         "jobs": 8,
         "llm_batch_size": 1,
     }

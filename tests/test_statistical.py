@@ -22,7 +22,12 @@ from celerlog.statistical import (
     post_process,
 )
 from corpus import fig5_lines
-from oracles import MASK_TOKENS, brute_force_masked_positions, naive_extract_template
+from oracles import (
+    MASK_TOKENS,
+    brute_force_masked_positions,
+    naive_extract_template,
+    naive_post_process,
+)
 
 
 def dense_group_from(lines):
@@ -189,6 +194,33 @@ class TestExtractTemplateAgainstOracle:
         )
 
 
+#: Pieces of post-process tokens: placeholders, composite separators, digits,
+#: designated tokens, brackets and lone ``<``, ``>`` and ``*``. A separator
+#: also comes joined to a placeholder, so composites like ``<*>:<*>=<*>`` occur.
+TEMPLATE_PIECES = [
+    "<*>", ":<*>", "=<*>", "/<*>", ":", "=", "/", "7", "<NUM>", "(", "]", "<", ">", "*",
+]
+
+
+def post_process_templates():
+    """Templates of 1-8 tokens, each ``<*>`` or a join of 1-4 pieces."""
+    pieces = st.lists(st.sampled_from(TEMPLATE_PIECES), min_size=1, max_size=4).map("".join)
+    token = st.one_of(st.just(PLACEHOLDER), pieces)
+    return st.lists(token, min_size=1, max_size=8).map(" ".join)
+
+
+def _composite_makes_run(template):
+    """A composite such as ``<*>:<*>`` collapses to ``<*>`` next to a ``<*>``."""
+    tokens = template.split()
+    return any(
+        token != PLACEHOLDER
+        and PLACEHOLDER in token
+        and naive_post_process(token) == PLACEHOLDER
+        and PLACEHOLDER in tokens[max(index - 1, 0) : index] + tokens[index + 1 : index + 2]
+        for index, token in enumerate(tokens)
+    )
+
+
 class TestPostProcess:
     def test_collapses_placeholder_composites(self):
         assert post_process("connect to <*>:<*>") == "connect to <*>"
@@ -207,6 +239,18 @@ class TestPostProcess:
 
     def test_composite_then_run_collapse(self):
         assert post_process("<*> <*>:<*> end") == "<*> end"
+
+    @settings(max_examples=500, deadline=None)
+    @given(post_process_templates())
+    def test_matches_fixpoint_loop(self, template):
+        assert post_process(template) == naive_post_process(template)
+
+    def test_generator_covers_composite_making_a_run(self):
+        find(
+            post_process_templates(),
+            _composite_makes_run,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
 
 
 class TestFinalize:
