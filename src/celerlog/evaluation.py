@@ -37,12 +37,15 @@ def normalize_template(template: str) -> str:
 
 
 def load_template_csv(path: str | Path) -> dict[int, str]:
-    """Read a ``LineId``/``EventTemplate`` CSV into a line_id -> template mapping."""
+    """Read a ``LineId``/``EventTemplate`` CSV into a line_id -> template mapping.
+
+    A UTF-8 byte-order mark at the start of the file is dropped.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"file not found: {path}")
     mapping: dict[int, str] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
             if reader.fieldnames is None or "LineId" not in reader.fieldnames:

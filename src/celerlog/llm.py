@@ -4,6 +4,8 @@ The model's job is deliberately narrow: list the exact variable substrings of
 each message. Returned variables are checked against the original text before
 anything is masked, and any response that cannot be validated degrades to a
 rollback (the raw message becomes its own template) rather than an error.
+A validated reply yields a final template: tokens the masking rules would
+change become parameters too, and adjacent parameters are one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .model import (
     SparseGroup,
     TemplateResult,
 )
+from .statistical import collapse
 
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
@@ -151,8 +154,12 @@ def validate_and_mask(content: str, variables: Sequence[str]) -> TemplateResult:
 
     Variables not present verbatim in the message are dropped. Survivors are
     masked longest first, scanning left to right without overlaps, and the
-    masking is then snapped outward to whole tokens. No survivors means a
-    rollback: the original message is its own template.
+    masking is then snapped outward to whole tokens. A rollback, where the
+    original message is its own template, follows when no token is covered
+    or holds ``<*>``. Otherwise a token is a parameter when it is covered,
+    holds ``<*>``, or would be changed by ``mask_token``, such as a number
+    the model did not list; adjacent parameter tokens form one parameter
+    (``statistical.collapse``), so the template is final.
     """
     survivors = [variable for variable in variables if variable and variable in content]
     if not survivors:
@@ -173,20 +180,21 @@ def validate_and_mask(content: str, variables: Sequence[str]) -> TemplateResult:
                 covered[i] = 1
             start = end
 
-    template_tokens: list[str] = []
-    parameters: list[str] = []
+    tokens: list[str] = []
+    variable_flags: list[bool] = []
     for match in re.finditer(r"\S+", content):
         token = match.group(0)
-        if any(covered[match.start() : match.end()]) or PLACEHOLDER in token:
-            template_tokens.append(PLACEHOLDER)
-            parameters.append(token)
-        else:
-            template_tokens.append(token)
-    if not parameters:
+        tokens.append(token)
+        variable_flags.append(any(covered[match.start() : match.end()]) or PLACEHOLDER in token)
+    if not any(variable_flags):
         return TemplateResult(template=content, parameters=(), source=SOURCE_ROLLBACK)
+    template, spans = collapse(
+        tokens,
+        [flag or mask_token(token) != token for flag, token in zip(variable_flags, tokens)],
+    )
     return TemplateResult(
-        template=" ".join(template_tokens),
-        parameters=tuple(parameters),
+        template=template,
+        parameters=tuple([" ".join(tokens[start:end]) for start, end in spans]),
         source=SOURCE_LLM,
     )
 

@@ -32,7 +32,6 @@ import csv
 import gc
 import io
 import json
-import logging
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -51,8 +50,6 @@ from .model import (
     TemplateResult,
 )
 from .routing import RoutingStats, route
-
-logger = logging.getLogger(__name__)
 
 #: Below this many records the masking pool costs more than it saves.
 _PARALLEL_THRESHOLD = 2000
@@ -97,7 +94,8 @@ def ingest(
     dropped) after header stripping; CSV input reads the ``Content`` column.
     Other characters that ``str.splitlines`` treats as line breaks stay inside
     the record. Blank lines are skipped and counted, and undecodable bytes are
-    replaced and counted rather than fatal.
+    replaced and counted rather than fatal. A UTF-8 byte-order mark at the
+    start of the file is dropped.
     """
     path = Path(path)
     if not path.is_file():
@@ -110,7 +108,7 @@ def ingest(
     # the file decode as themselves and are not decode errors.
     data = path.read_bytes()
     valid_replacements = data.count("\ufffd".encode())
-    text = data.decode("utf-8", errors="replace")
+    text = data.decode("utf-8-sig", errors="replace")
     del data
     decode_errors = text.count("\ufffd") - valid_replacements
 
@@ -252,8 +250,6 @@ def run(
                 by_content.update(sparse_future.result())
             finally:
                 gc.disable()
-
-        statistical.finalize_all(by_content)
 
         rows: list[ParsedRecord] = []
         for record in records:

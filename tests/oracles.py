@@ -4,6 +4,10 @@ Everything here favours obviousness over speed: pairwise scans, per-record
 set rebuilds, no shared helpers with the package under test. The reference
 merge borrows only the package's data types and its verb extractor, and the
 reference post-process only its token masker.
+
+``naive_extract_template`` and ``naive_validate_and_mask`` build the templates
+that the producers built before post-processing was folded into them; a run
+writes ``naive_post_process`` of those templates.
 """
 
 from __future__ import annotations
@@ -85,6 +89,66 @@ def naive_extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
         )
         for content, tokens in zip(contents, token_lists)
     }
+
+
+def naive_validate_and_mask(content: str, variables) -> TemplateResult:
+    """Mask every token that a listed variable found in the message touches.
+
+    Longer variables claim their occurrences first, left to right without
+    overlaps; each token touched, or holding ``<*>``, becomes its own
+    ``<*>``. No variable found, or no such token, is a rollback to the raw
+    message.
+    """
+    rollback = TemplateResult(template=content, parameters=(), source="rollback")
+    survivors = [variable for variable in variables if variable and variable in content]
+    if not survivors:
+        return rollback
+    covered = [False] * len(content)
+    for variable in sorted(set(survivors), key=lambda v: (-len(v), survivors.index(v))):
+        start = 0
+        while True:
+            position = content.find(variable, start)
+            if position == -1:
+                break
+            end = position + len(variable)
+            if any(covered[position:end]):
+                start = position + 1
+                continue
+            covered[position:end] = [True] * (end - position)
+            start = end
+    template_tokens: list[str] = []
+    parameters: list[str] = []
+    for match in re.finditer(r"\S+", content):
+        token = match.group(0)
+        if any(covered[match.start() : match.end()]) or "<*>" in token:
+            template_tokens.append("<*>")
+            parameters.append(token)
+        else:
+            template_tokens.append(token)
+    if not parameters:
+        return rollback
+    return TemplateResult(
+        template=" ".join(template_tokens), parameters=tuple(parameters), source="llm"
+    )
+
+
+def expanded_positions(result: TemplateResult) -> set[int]:
+    """The token positions a result's parameters cover, found by expanding
+    each ``<*>`` of the template to its parameter's token count."""
+    positions: set[int] = set()
+    parameters = iter(result.parameters)
+    index = 0
+    for token in result.template.split():
+        width = len(next(parameters).split()) if token == "<*>" else 1
+        if token == "<*>":
+            positions.update(range(index, index + width))
+        index += width
+    return positions
+
+
+def maskable_positions(tokens) -> set[int]:
+    """Positions of the tokens that ``mask_token`` changes."""
+    return {position for position, token in enumerate(tokens) if mask_token(token) != token}
 
 
 def naive_write_structured(rows) -> bytes:

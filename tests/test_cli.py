@@ -33,29 +33,6 @@ class TestParseCommand:
         for name in ("structured.csv", "templates.csv", "run.json"):
             assert (out / name).is_file()
 
-    def test_statistical_warning_reaches_stderr(self, tmp_path):
-        # With no logging configured, Python's last-resort handler prints
-        # warnings to stderr. pytest's log capture would take them in process,
-        # so the CLI runs in a fresh interpreter.
-        script = (
-            "import sys\n"
-            "from celerlog import cli, statistical\n"
-            "extract = statistical.extract_template\n"
-            "def warn_then_extract(group):\n"
-            "    statistical.logger.warning('dense group looks odd')\n"
-            "    return extract(group)\n"
-            "statistical.extract_template = warn_then_extract\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        log = write_lines(tmp_path / "sample.log", fig5_lines())
-        env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
-        child = subprocess.run(
-            [sys.executable, "-c", script, "parse", "--input", str(log),
-             "--output", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        )
-        assert "dense group looks odd" in child.stderr.splitlines()
-
     def test_invalid_alpha_exits_2(self, tmp_path, capsys):
         log = write_lines(tmp_path / "sample.log", ["a b"])
         code = main([
@@ -98,6 +75,17 @@ class TestParseCommand:
         assert code == 0
         text = (out / "structured.csv").read_text()
         assert "job <*> finished" in text
+
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        # The mark sits right before the first header, here "Content".
+        source = tmp_path / "in.csv"
+        source.write_bytes(b"\xef\xbb\xbfContent,LineId\njob 17 finished,1\n")
+        out = tmp_path / "out"
+        code = main([
+            "parse", "--input", str(source), "--format", "csv", "--output", str(out),
+        ])
+        assert code == 0
+        assert "job <*> finished" in (out / "structured.csv").read_text(encoding="utf-8")
 
     def test_csv_field_over_the_field_limit_exits_2(self, tmp_path, capsys):
         source = tmp_path / "in.csv"

@@ -148,6 +148,11 @@ class TestReportAndIo:
         path.write_text('LineId,EventTemplate\n0,"a <*>"\n1,b\n', encoding="utf-8")
         assert load_template_csv(path) == {0: "a <*>", 1: "b"}
 
+    def test_load_template_csv_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(b'\xef\xbb\xbfLineId,EventTemplate\n0,"a <*>"\n1,b\n')
+        assert load_template_csv(path) == {0: "a <*>", 1: "b"}
+
     def test_duplicate_line_id_fatal(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("LineId,EventTemplate\n0,a\n0,b\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from celerlog.llm import (
     process_sparse,
     validate_and_mask,
 )
+from celerlog.masking import mask_token
 from celerlog.model import (
     SOURCE_LLM,
     SOURCE_ROLLBACK,
@@ -27,6 +28,7 @@ from celerlog.model import (
     SkeletonGroup,
     SparseGroup,
 )
+from oracles import expanded_positions
 
 
 def sparse_group(content: str, line_id: int = 0) -> SparseGroup:
@@ -118,8 +120,8 @@ class TestValidateAndMask:
 
     def test_multi_token_variable(self):
         result = validate_and_mask("user root logged in", ["root logged"])
-        assert result.template == "user <*> <*> in"
-        assert result.parameters == ("root", "logged")
+        assert result.template == "user <*> in"
+        assert result.parameters == ("root logged",)
 
     def test_longest_variable_masked_first(self):
         result = validate_and_mask("path /a/b and /a", ["/a", "/a/b"])
@@ -145,9 +147,13 @@ class TestValidateAndMask:
             if result.source == SOURCE_ROLLBACK:
                 assert result.template == content
                 continue
+            # Tokens that masking changes are parameters too, and a run of
+            # parameter tokens is one <*>.
             survivors = {v for v in variables if v in content}
-            for token, out in zip(tokens, result.template.split()):
-                assert (out == "<*>") == (token in survivors)
+            positions = expanded_positions(result)
+            for position, token in enumerate(tokens):
+                expected = token in survivors or mask_token(token) != token
+                assert (position in positions) == expected
             assert result.token_sequence() == content.split()
 
 

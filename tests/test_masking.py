@@ -153,11 +153,7 @@ def test_every_cache_is_bounded():
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 maxsizes[f"{module_info.name}.{name}"] = value.cache_info().maxsize
-    assert {
-        "celerlog.masking._lemmatize",
-        "celerlog.statistical.post_process",
-        "celerlog.statistical._alignment_pattern",
-    } <= set(maxsizes)
+    assert "celerlog.masking._lemmatize" in maxsizes
     assert {name: size for name, size in maxsizes.items() if size is None} == {}
     # mask_token's cache is a dict that empties itself when full.
     for number in range(2 * _TOKEN_CACHE_SIZE + 1):

@@ -1,6 +1,5 @@
 import csv
 import gc
-import logging
 import os
 import subprocess
 import sys
@@ -91,6 +90,14 @@ class TestIngest:
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(ConfigError):
             ingest(tmp_path / "absent.log")
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # Only the mark that opens the file goes; one inside a line is content.
+        path = tmp_path / "in.log"
+        path.write_bytes(b"\xef\xbb\xbfalpha 1 ready\nalpha \xef\xbb\xbf2 ready\n")
+        records, stats = ingest(path)
+        assert [r.content for r in records] == ["alpha 1 ready", "alpha \ufeff2 ready"]
+        assert stats.decode_errors == 0
 
     def test_invalid_bytes_replaced_and_counted(self, tmp_path):
         path = tmp_path / "in.log"
@@ -264,26 +271,29 @@ class TestRun:
     def test_collector_off_while_computing_on_while_waiting(self, tmp_path, monkeypatch):
         lines, _ = make_template_corpus(n_lines=400, n_templates=12, n_oneoffs=40, seed=13)
         path = write_lines(tmp_path / "in.log", lines)
-        computing: list[bool] = []
-        extract, finalize_all = statistical.extract_template, statistical.finalize_all
+        computing: dict[str, list[bool]] = {"extract": [], "write": []}
+        extract, write_structured = statistical.extract_template, pipeline._write_structured
 
-        def record_then(function):
+        def record_then(phase, function):
             def wrapped(*args):
-                computing.append(gc.isenabled())
+                computing[phase].append(gc.isenabled())
                 return function(*args)
 
             return wrapped
 
-        monkeypatch.setattr(statistical, "extract_template", record_then(extract))
-        monkeypatch.setattr(statistical, "finalize_all", record_then(finalize_all))
+        monkeypatch.setattr(statistical, "extract_template", record_then("extract", extract))
+        monkeypatch.setattr(
+            pipeline, "_write_structured", record_then("write", write_structured)
+        )
         waiting = _CollectorProbeBackend()
         caller = gc.isenabled()
         gc.enable()
         try:
-            run(path, RouterConfig(jobs=1), waiting)
+            run(path, RouterConfig(jobs=1), waiting, out_dir=tmp_path / "out")
         finally:
             (gc.enable if caller else gc.disable)()
-        assert computing and not any(computing)
+        assert computing["extract"] and not any(computing["extract"])
+        assert computing["write"] == [False]
         assert waiting.saw_collector
 
     def test_run_leaves_start_method_unset(self, tmp_path):
@@ -360,12 +370,12 @@ class TestRun:
         result = run(path, RouterConfig(jobs=1), MockBackend())
         assert result.ledger.wall_time_seconds > 0
 
-    def test_results_equal_finalize_of_every_message(self, tmp_path, monkeypatch, caplog):
+    def test_results_equal_finalize_of_every_message(self, tmp_path, monkeypatch):
         # Each "copy" and "worker" group has a length bucket of its own, so
-        # it goes dense: the adjacent "copy" variables are rewritten into one,
-        # the "worker" template is kept. Two of the three one-offs go sparse
-        # and roll back, since the backend names no variable. One dense result
-        # is given a template that post-processing rewrites but cannot realign.
+        # it goes dense: extract_template already makes the adjacent "copy"
+        # variables one. Two of the three one-offs go sparse and roll back,
+        # since the backend names no variable. run() writes what the
+        # producers returned, and finalize returns every result as it is.
         lines = [f"copy {index} {index * 3} blocks done" for index in range(20)]
         lines += [f"worker {index} ready" for index in range(20)]
         lines += ["alpha beta gamma delta", "epsilon zeta eta theta", "iota kappa lambda mu"]
@@ -373,44 +383,40 @@ class TestRun:
         before: dict[str, TemplateResult] = {}
         real_extract, real_sparse = statistical.extract_template, llm.process_sparse
 
-        def recorded_extract(group):
-            results = real_extract(group)
-            misaligned = "copy 0 0 blocks done"
-            if misaligned in results:
-                raw = results[misaligned]
-                results[misaligned] = TemplateResult(
-                    raw.template + " 7", raw.parameters, raw.source
-                )
-            before.update(results)
-            return results
+        def recorded(function):
+            def wrapped(*args):
+                results = function(*args)
+                before.update(results)
+                return results
 
-        def recorded_sparse(*args):
-            results = real_sparse(*args)
-            before.update(results)
-            return results
+            return wrapped
 
-        monkeypatch.setattr(statistical, "extract_template", recorded_extract)
-        monkeypatch.setattr(llm, "process_sparse", recorded_sparse)
-        with caplog.at_level(logging.WARNING, logger="celerlog.statistical"):
-            result = run(path, RouterConfig(jobs=1), _NoVariablesBackend())
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == [
-            "could not realign parameters after post-processing 'copy <*> blocks done <*>'"
-        ]
+        monkeypatch.setattr(statistical, "extract_template", recorded(real_extract))
+        monkeypatch.setattr(llm, "process_sparse", recorded(real_sparse))
+        result = run(path, RouterConfig(jobs=1), _NoVariablesBackend())
 
         expected = {
             content: statistical.finalize(raw, tuple(content.split()))
             for content, raw in before.items()
         }
         assert {row.content: row.result for row in result.rows} == expected
+        assert all(expected[content] is raw for content, raw in before.items())
         assert [before[line].source for line in lines[-3:]].count(SOURCE_ROLLBACK) == 2
-        assert expected["worker 3 ready"] is before["worker 3 ready"]
         assert before["worker 3 ready"].template == "worker <*> ready"
-        assert before["copy 1 3 blocks done"].template == "copy <*> <*> blocks done"
-        assert expected["copy 1 3 blocks done"] == TemplateResult(
+        assert before["copy 1 3 blocks done"] == TemplateResult(
             "copy <*> blocks done", ("1 3",), SOURCE_STATISTICAL
         )
-        assert expected["copy 0 0 blocks done"] is before["copy 0 0 blocks done"]
+
+    def test_parameters_keep_their_columns(self, tmp_path):
+        # The three lines merge into one dense group whose first two
+        # positions are one parameter; the constant "foo" after it must not
+        # claim the "foo" inside the first line's parameter.
+        path = write_lines(tmp_path / "in.log", ["1 foo foo 2", "1 bar foo 3", "5 baz foo 7"])
+        rows = run(path, RouterConfig(jobs=1), MockBackend()).rows
+        assert [row.result for row in rows] == [
+            TemplateResult("<*> foo <*>", parameters, SOURCE_STATISTICAL)
+            for parameters in [("1 foo", "2"), ("1 bar", "3"), ("5 baz", "7")]
+        ]
 
 
 # Every character csv.writer treats specially, edge spaces, the parameter

@@ -15,18 +15,18 @@ from celerlog.model import (
     TemplateResult,
 )
 from celerlog.routing import bucket_by_length, group_by_skeleton
-from celerlog.statistical import (
-    derive_parameters,
-    extract_template,
-    finalize,
-    post_process,
-)
+from celerlog.llm import validate_and_mask
+from celerlog.masking import mask_token
+from celerlog.statistical import collapse, extract_template, finalize
 from corpus import fig5_lines
 from oracles import (
     MASK_TOKENS,
     brute_force_masked_positions,
+    expanded_positions,
+    maskable_positions,
     naive_extract_template,
     naive_post_process,
+    naive_validate_and_mask,
 )
 
 
@@ -34,10 +34,6 @@ def dense_group_from(lines):
     records = [LogRecord(i, line) for i, line in enumerate(lines)]
     groups = group_by_skeleton(records)
     return DenseGroup(member_groups=tuple(groups))
-
-
-def masked_positions_of(result: TemplateResult) -> set[int]:
-    return {i for i, token in enumerate(result.template.split()) if token == PLACEHOLDER}
 
 
 class TestExtractTemplate:
@@ -93,6 +89,18 @@ class TestExtractTemplate:
         results = extract_template(group)
         for line in lines:
             assert line in results
+
+    def test_parameters_keep_their_columns(self):
+        # The run of positions 0-1 ends in "foo" in the first message only;
+        # the constant "foo" after the run must not claim it.
+        lines = ["1 foo foo 2", "1 bar foo 3", "5 baz foo 7"]
+        results = extract_template(dense_group_from(lines))
+        assert {results[line].template for line in lines} == {"<*> foo <*>"}
+        assert {frozenset(expanded_positions(results[line])) for line in lines} == {
+            frozenset({0, 1, 3})
+        }
+        assert results["1 foo foo 2"].parameters == ("1 foo", "2")
+        assert results["1 bar foo 3"].parameters == ("1 bar", "3")
 
     def test_mixed_token_lengths_raise(self):
         # route() never builds such a group: masking is token for token and a
@@ -157,6 +165,34 @@ def _template_keeps(token):
     return feature
 
 
+def _naive_variable_flags(lines):
+    """The merged group's naive template, and per position whether it is a
+    parameter once leftovers are masked."""
+    naive = naive_extract_template(groups_under_test(lines)[0])
+    template = next(iter(naive.values())).template.split()
+    variable = [token == PLACEHOLDER or mask_token(token) != token for token in template]
+    return naive, template, variable
+
+
+def _adjacent_variable_positions(lines):
+    _, _, variable = _naive_variable_flags(lines)
+    return any(a and b for a, b in zip(variable, variable[1:]))
+
+
+def _parameter_equals_next_constant(lines):
+    """Some message holds, at a parameter position, the constant that ends its run."""
+    naive, template, variable = _naive_variable_flags(lines)
+    for content in naive:
+        tokens = content.split()
+        for position, flag in enumerate(variable):
+            if not flag:
+                continue
+            after = next((p for p in range(position, len(template)) if not variable[p]), None)
+            if after is not None and tokens[position] == template[after]:
+                return True
+    return False
+
+
 def _contained_designated_token_varies(lines):
     columns = zip(*(line.split() for line in lines))
     return any({"(123)", "(45)"} <= set(column) for column in columns)
@@ -166,8 +202,24 @@ class TestExtractTemplateAgainstOracle:
     @settings(max_examples=1000, deadline=None)
     @given(dense_lines())
     def test_equals_naive_extract_template(self, lines):
+        # The naive template post-processed is what a run wrote before the
+        # producers applied post-processing themselves.
         for group in groups_under_test(lines):
-            assert extract_template(group) == naive_extract_template(group)
+            results = extract_template(group)
+            naive = naive_extract_template(group)
+            assert results.keys() == naive.keys()
+            naive_template = next(iter(naive.values())).template
+            template = naive_post_process(naive_template)
+            tokens = template.split()
+            assert not any(a == b == PLACEHOLDER for a, b in zip(tokens, tokens[1:]))
+            positions = {
+                i for i, token in enumerate(naive_template.split()) if token == PLACEHOLDER
+            } | maskable_positions(naive_template.split())
+            for content, result in results.items():
+                assert result.template == template
+                assert result.source == SOURCE_STATISTICAL
+                assert result.token_sequence() == content.split()
+                assert expanded_positions(result) == positions
 
     @pytest.mark.parametrize(
         "feature",
@@ -181,10 +233,13 @@ class TestExtractTemplateAgainstOracle:
             _merged_keys_differ_at_a_constant_position,
             lambda lines: len(set(lines)) == 1,
             lambda lines: any("\t" in line for line in lines) and any("  " in line for line in lines),
+            _adjacent_variable_positions,
+            _parameter_equals_next_constant,
         ],
         ids=["paren-number-kept", "number-comma-kept", "bracket-hex-kept",
              "paren-number-varies", "literal-placeholder", "literal-designated-token",
-             "merged-keys-differ", "one-message", "tab-and-space-runs"],
+             "merged-keys-differ", "one-message", "tab-and-space-runs",
+             "adjacent-variables", "parameter-equals-next-constant"],
     )
     def test_generator_covers(self, feature):
         find(
@@ -194,82 +249,121 @@ class TestExtractTemplateAgainstOracle:
         )
 
 
-#: Pieces of post-process tokens: placeholders, composite separators, digits,
-#: designated tokens, brackets and lone ``<``, ``>`` and ``*``. A separator
-#: also comes joined to a placeholder, so composites like ``<*>:<*>=<*>`` occur.
-TEMPLATE_PIECES = [
-    "<*>", ":<*>", "=<*>", "/<*>", ":", "=", "/", "7", "<NUM>", "(", "]", "<", ">", "*",
-]
+def llm_cases():
+    """A message and a variable list as a backend could return it: tokens of
+    the message, pieces of tokens, whitespace, empty and absent strings."""
+
+    @st.composite
+    def build(draw):
+        tokens = draw(st.lists(st.sampled_from(GROUP_TOKENS), min_size=1, max_size=6))
+        content = draw(st.sampled_from(["", " "]))
+        for index, token in enumerate(tokens):
+            content += (draw(SEPARATORS) if index else "") + token
+        pieces = st.one_of(
+            st.sampled_from(tokens),
+            st.sampled_from(GROUP_TOKENS + ["", " ", "zzz"]),
+            st.tuples(st.integers(0, len(content)), st.integers(0, len(content))).map(
+                lambda bounds: content[bounds[0] : bounds[1]]
+            ),
+        )
+        return content, draw(st.lists(pieces, max_size=4))
+
+    return build()
 
 
-def post_process_templates():
-    """Templates of 1-8 tokens, each ``<*>`` or a join of 1-4 pieces."""
-    pieces = st.lists(st.sampled_from(TEMPLATE_PIECES), min_size=1, max_size=4).map("".join)
-    token = st.one_of(st.just(PLACEHOLDER), pieces)
-    return st.lists(token, min_size=1, max_size=8).map(" ".join)
+def _llm_rolls_back(case):
+    return naive_validate_and_mask(*case).source == SOURCE_ROLLBACK
 
 
-def _composite_makes_run(template):
-    """A composite such as ``<*>:<*>`` collapses to ``<*>`` next to a ``<*>``."""
-    tokens = template.split()
-    return any(
-        token != PLACEHOLDER
-        and PLACEHOLDER in token
-        and naive_post_process(token) == PLACEHOLDER
-        and PLACEHOLDER in tokens[max(index - 1, 0) : index] + tokens[index + 1 : index + 2]
-        for index, token in enumerate(tokens)
-    )
+def _llm_masks_a_leftover(case):
+    naive = naive_validate_and_mask(*case)
+    return naive.source != SOURCE_ROLLBACK and bool(maskable_positions(naive.template.split()))
+
+
+def _llm_collapses_a_run(case):
+    naive = naive_validate_and_mask(*case)
+    return naive.source != SOURCE_ROLLBACK and "<*> <*>" in naive.template
 
 
 class TestPostProcess:
-    def test_collapses_placeholder_composites(self):
-        assert post_process("connect to <*>:<*>") == "connect to <*>"
+    """Leftover masking and run collapse, which both producers apply themselves."""
 
     def test_identity(self):
-        assert post_process("ok done") == "ok done"
+        assert extract_template(dense_group_from(["ok done"]))["ok done"].template == "ok done"
+        assert validate_and_mask("ok done", ["done"]).template == "ok <*>"
 
     def test_masks_leftover_numbers(self):
-        assert post_process("took 37 ms") == "took <*> ms"
+        # "(37)" masks to "(<NUM>)", which leaves the raw values to decide; a
+        # constant column of them is still a number.
+        results = extract_template(dense_group_from(["took (37) ms"]))
+        assert results["took (37) ms"] == TemplateResult(
+            "took <*> ms", ("(37)",), SOURCE_STATISTICAL
+        )
+        result = validate_and_mask("took 37 ms to reach gate", ["gate"])
+        assert result.template == "took <*> ms to reach <*>"
+        assert result.parameters == ("37", "gate")
 
     def test_collapses_placeholder_runs(self):
-        assert post_process("a <*> <*> b") == "a <*> b"
+        results = extract_template(dense_group_from(["a 1 red b", "a 2 blue b"]))
+        assert results["a 1 red b"].template == "a <*> b"
+        assert results["a 2 blue b"].parameters == ("2 blue",)
+        result = validate_and_mask("a gate 12 b", ["gate"])
+        assert result.template == "a <*> b"
+        assert result.parameters == ("gate 12",)
 
     def test_masks_leftover_mixed_strings(self):
-        assert post_process("read /var/log/app.log done") == "read <*> done"
+        result = validate_and_mask("read /var/log/app.log done by gate", ["gate"])
+        assert result.template == "read <*> done by <*>"
+        assert result.parameters == ("/var/log/app.log", "gate")
 
-    def test_composite_then_run_collapse(self):
-        assert post_process("<*> <*>:<*> end") == "<*> end"
+    @settings(max_examples=1000, deadline=None)
+    @given(llm_cases())
+    def test_matches_fixpoint_loop(self, case):
+        content, variables = case
+        result = validate_and_mask(content, variables)
+        naive = naive_validate_and_mask(content, variables)
+        assert result.source == naive.source
+        if naive.source == SOURCE_ROLLBACK:
+            assert result == naive
+            return
+        assert result.template == naive_post_process(naive.template)
+        assert result.token_sequence() == content.split()
+        expected = expanded_positions(naive) | maskable_positions(content.split())
+        assert expanded_positions(result) == expected
 
-    @settings(max_examples=500, deadline=None)
-    @given(post_process_templates())
-    def test_matches_fixpoint_loop(self, template):
-        assert post_process(template) == naive_post_process(template)
-
-    def test_generator_covers_composite_making_a_run(self):
+    @pytest.mark.parametrize(
+        "feature",
+        [_llm_rolls_back, _llm_masks_a_leftover, _llm_collapses_a_run],
+        ids=["rollback", "leftover-masked", "run-collapsed"],
+    )
+    def test_llm_generator_covers(self, feature):
         find(
-            post_process_templates(),
-            _composite_makes_run,
+            llm_cases(),
+            feature,
             settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
         )
 
 
 class TestFinalize:
     def test_rollback_exempt(self):
-        result = TemplateResult("took 37 ms", (), SOURCE_ROLLBACK)
-        assert finalize(result, ("took", "37", "ms")) is result
+        # A rollback reproduces the raw message, maskable tokens included.
+        for variables in ([], ["zzz"], [" "]):
+            result = validate_and_mask("took 37 ms", variables)
+            assert result == TemplateResult("took 37 ms", (), SOURCE_ROLLBACK)
+            assert finalize(result, ("took", "37", "ms")) is result
 
     def test_rederives_parameters_after_run_collapse(self):
-        raw = TemplateResult("x <*> <*> y", ("1", "2"), SOURCE_STATISTICAL)
-        final = finalize(raw, ("x", "1", "2", "y"))
+        results = extract_template(dense_group_from(["x 1 2 y", "x 3 4 y"]))
+        final = results["x 1 2 y"]
         assert final.template == "x <*> y"
         assert final.parameters == ("1 2",)
         assert final.token_sequence() == ["x", "1", "2", "y"]
 
     def test_masks_residual_variables_and_realigns(self):
-        raw = TemplateResult("sent 512 bytes to <*>", ("10.0.0.9",), SOURCE_LLM)
-        final = finalize(raw, ("sent", "512", "bytes", "to", "10.0.0.9"))
+        final = validate_and_mask("sent 512 bytes to 10.0.0.9", ["10.0.0.9"])
         assert final.template == "sent <*> bytes to <*>"
         assert final.parameters == ("512", "10.0.0.9")
+        assert final.source == SOURCE_LLM
 
     def test_unchanged_template_keeps_parameters(self):
         raw = TemplateResult("plain words only", (), SOURCE_STATISTICAL)
@@ -277,14 +371,17 @@ class TestFinalize:
 
 
 class TestDeriveParameters:
+    """``collapse``: a template and the token span of each parameter."""
+
     def test_multi_token_absorption(self):
-        assert derive_parameters("a <*> d", ("a", "b", "c", "d")) == ("b c",)
+        assert collapse(("a", "b", "c", "d"), [False, True, True, False]) == (
+            "a <*> d",
+            [(1, 3)],
+        )
+        assert validate_and_mask("a b c d", ["b c"]).parameters == ("b c",)
 
     def test_no_placeholders(self):
-        assert derive_parameters("a b", ("a", "b")) == ()
-
-    def test_misaligned_returns_none(self):
-        assert derive_parameters("a <*> z", ("a", "b", "c")) is None
+        assert collapse(("a", "b"), [False, False]) == ("a b", [])
 
 
 ALPHABET = ["red", "blue", "lamp", "disk", "691", "0x3f", "a/b", "k=1", "OK"]
@@ -304,8 +401,8 @@ class TestOracleEquivalence:
         )
         group = dense_group_from(lines)
         results = extract_template(group)
-        got = masked_positions_of(results[lines[0]])
+        got = expanded_positions(results[lines[0]])
         expected = brute_force_masked_positions(
             sorted(lines), [m.key_tokens for m in group.member_groups]
-        )
+        ) | maskable_positions(lines[0].split())
         assert got == expected
