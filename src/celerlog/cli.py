@@ -96,16 +96,22 @@ def _run_eval(args: argparse.Namespace) -> int:
     ground_truth = evaluation.load_template_csv(args.ground_truth)
     metrics = evaluation.evaluate(predictions, ground_truth)
 
-    ledger = routing = None
-    run_info = Path(args.structured).parent / "run.json"
-    if run_info.is_file():
-        try:
-            info = json.loads(run_info.read_text(encoding="utf-8"))
-            ledger = info.get("ledger")
-            routing = info.get("routing")
-        except (OSError, ValueError):
-            pass
-    evaluation.report(metrics, args.report, ledger=ledger, routing=routing)
+    # A run.json that is unreadable, or not an object, is left out of the
+    # report, and so is a ledger or routing entry that is not an object.
+    info = None
+    try:
+        info = json.loads((Path(args.structured).parent / "run.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        pass
+    if not isinstance(info, dict):
+        info = {}
+    ledger, routing = info.get("ledger"), info.get("routing")
+    evaluation.report(
+        metrics,
+        args.report,
+        ledger=ledger if isinstance(ledger, dict) else None,
+        routing=routing if isinstance(routing, dict) else None,
+    )
     return 0
 
 

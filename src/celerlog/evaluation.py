@@ -1,15 +1,16 @@
 """Effectiveness metrics against ground truth, plus the report writer.
 
 All four metrics treat a clustering as the partition of line ids induced by
-template strings. Template text comparisons run on a normalized form where
-runs of consecutive ``<*>`` tokens collapse to one, the prevailing convention
-in this benchmark lineage.
+template strings, and ``evaluate`` computes them together. Template text
+comparisons run on a normalized form where runs of consecutive ``<*>`` tokens
+collapse to one, the prevailing convention in this benchmark lineage.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,7 +40,8 @@ def normalize_template(template: str) -> str:
 def load_template_csv(path: str | Path) -> dict[int, str]:
     """Read a ``LineId``/``EventTemplate`` CSV into a line_id -> template mapping.
 
-    A UTF-8 byte-order mark at the start of the file is dropped.
+    A UTF-8 byte-order mark at the start of the file is dropped; a file that
+    is not valid UTF-8 is a ``ConfigError``.
     """
     path = Path(path)
     if not path.is_file():
@@ -72,97 +74,57 @@ def load_template_csv(path: str | Path) -> dict[int, str]:
         except csv.Error as exc:
             # Raised, among others, for a field over csv.field_size_limit().
             raise ConfigError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # Templates are compared as exact text, so no byte is replaced.
+            raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
     return mapping
 
 
-def _check_universe(predictions: dict[int, str], ground_truth: dict[int, str]) -> None:
+def evaluate(predictions: dict[int, str], ground_truth: dict[int, str]) -> Metrics:
+    """Score GA, PA, FGA and FTA in one pass over (predicted, true) template pairs.
+
+    Records are counted per pair of templates, and each cluster's size is the
+    sum of its pairs' counts. A predicted cluster equals a true cluster exactly
+    when their pair holds all of both, that is when the pair's count equals
+    both sizes; such a pair counts for GA and FGA, and for FTA when its
+    normalized texts also match. PA counts the records of every pair whose
+    normalized texts match.
+    """
     if not predictions or not ground_truth:
         raise ConfigError("cannot evaluate an empty record set")
-    if set(predictions) != set(ground_truth):
-        missing = len(set(ground_truth) - set(predictions))
-        surplus = len(set(predictions) - set(ground_truth))
+    if predictions.keys() != ground_truth.keys():
+        missing = len(ground_truth.keys() - predictions.keys())
+        surplus = len(predictions.keys() - ground_truth.keys())
         raise ConfigError(
             f"prediction and ground-truth line ids differ "
             f"({missing} missing, {surplus} surplus); structured.csv numbers "
             f"non-blank records from 0, so ground truth numbered by physical line "
             f"or from 1 will not line up"
         )
+    pairs = Counter(zip(predictions.values(), map(ground_truth.__getitem__, predictions)))
+    predicted_sizes: Counter[str] = Counter()
+    true_sizes: Counter[str] = Counter()
+    for (predicted, true), count in pairs.items():
+        predicted_sizes[predicted] += count
+        true_sizes[true] += count
 
+    grouped = parsed = grouped_clusters = parsed_clusters = 0
+    for (predicted, true), count in pairs.items():
+        same_text = normalize_template(predicted) == normalize_template(true)
+        if same_text:
+            parsed += count
+        if count == predicted_sizes[predicted] == true_sizes[true]:
+            grouped += count
+            grouped_clusters += 1
+            parsed_clusters += same_text
 
-def _clusters(mapping: dict[int, str]) -> dict[str, frozenset[int]]:
-    grouped: dict[str, set[int]] = {}
-    for line_id, template in mapping.items():
-        grouped.setdefault(template, set()).add(line_id)
-    return {template: frozenset(ids) for template, ids in grouped.items()}
-
-
-def grouping_accuracy(predictions: dict[int, str], ground_truth: dict[int, str]) -> float:
-    """Fraction of records whose predicted cluster equals their true cluster."""
-    _check_universe(predictions, ground_truth)
-    gt_clusters = _clusters(ground_truth)
-    gt_of_id = {line_id: gt_clusters[template] for line_id, template in ground_truth.items()}
-    correct = 0
-    for ids in _clusters(predictions).values():
-        if ids == gt_of_id[next(iter(ids))]:
-            correct += len(ids)
-    return correct / len(predictions)
-
-
-def parsing_accuracy(predictions: dict[int, str], ground_truth: dict[int, str]) -> float:
-    """Fraction of records whose normalized template matches the truth."""
-    _check_universe(predictions, ground_truth)
-    correct = sum(
-        1
-        for line_id, template in predictions.items()
-        if normalize_template(template) == normalize_template(ground_truth[line_id])
-    )
-    return correct / len(predictions)
-
-
-def _template_f1(
-    predictions: dict[int, str],
-    ground_truth: dict[int, str],
-    require_text: bool,
-) -> float:
-    _check_universe(predictions, ground_truth)
-    gt_clusters = _clusters(ground_truth)
-    gt_of_id = {line_id: gt_clusters[template] for line_id, template in ground_truth.items()}
-    gt_template_of_id = ground_truth
-
-    correct = 0
-    pred_clusters = _clusters(predictions)
-    for template, ids in pred_clusters.items():
-        first = next(iter(ids))
-        if ids != gt_of_id[first]:
-            continue
-        if require_text and normalize_template(template) != normalize_template(
-            gt_template_of_id[first]
-        ):
-            continue
-        correct += 1
-    precision = correct / len(pred_clusters)
-    recall = correct / len(gt_clusters)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
-def f1_grouping_accuracy(predictions: dict[int, str], ground_truth: dict[int, str]) -> float:
-    """Template-level F1 of cluster correctness."""
-    return _template_f1(predictions, ground_truth, require_text=False)
-
-
-def f1_template_accuracy(predictions: dict[int, str], ground_truth: dict[int, str]) -> float:
-    """Template-level F1 requiring both cluster and text to match."""
-    return _template_f1(predictions, ground_truth, require_text=True)
-
-
-def evaluate(predictions: dict[int, str], ground_truth: dict[int, str]) -> Metrics:
+    f1 = []
+    for correct in (grouped_clusters, parsed_clusters):
+        precision = correct / len(predicted_sizes)
+        recall = correct / len(true_sizes)
+        f1.append(0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall))
     return Metrics(
-        ga=grouping_accuracy(predictions, ground_truth),
-        pa=parsing_accuracy(predictions, ground_truth),
-        fga=f1_grouping_accuracy(predictions, ground_truth),
-        fta=f1_template_accuracy(predictions, ground_truth),
+        ga=grouped / len(predictions), pa=parsed / len(predictions), fga=f1[0], fta=f1[1]
     )
 
 

@@ -109,22 +109,17 @@ def bucket_by_length(groups: Iterable[SkeletonGroup]) -> list[LogBucket]:
     ]
 
 
-def select_threshold(similarities: Sequence[float], config: RouterConfig) -> float:
-    """Pick the merge threshold from the singleton ratio curve.
+def select_threshold(ordered: Sequence[float], zeros: int, config: RouterConfig) -> float:
+    """Pick the merge threshold from the singleton ratio curve of the ascending
+    scores ``ordered`` plus ``zeros`` more scores of 0, counted rather than listed.
 
     The singleton ratio at ``tau`` is the fraction of candidate scores below
     it. Sweep tau upward over ``TAU_GRID`` (0.50 to 0.95, step 0.01); at the
     first grid point where the ratio reaches ``config.p_quantile``, back off
     to the grid point before it (0.50 stays 0.50). If the limit is never
-    reached the sweep ends at 0.95. One sort lets each grid point count the
-    scores below it by bisection.
+    reached the sweep ends at 0.95. Each grid point counts the scores below
+    it by bisection.
     """
-    return _sweep_threshold(sorted(similarities), 0, config)
-
-
-def _sweep_threshold(ordered: Sequence[float], zeros: int, config: RouterConfig) -> float:
-    """``select_threshold`` over the ascending scores ``ordered`` plus
-    ``zeros`` more scores of 0, counted rather than listed."""
     total = len(ordered) + zeros
     previous = TAU_GRID[0]
     for tau in TAU_GRID:
@@ -187,7 +182,7 @@ def merge_bucket(
         )
         scores = {index: m / (double_length - m) for index, m in matches.items() if index in alive}
         # Candidates missing from ``scores`` score 0, below every grid point.
-        tau = _sweep_threshold(sorted(scores.values()), len(alive) - len(scores), config)
+        tau = select_threshold(sorted(scores.values()), len(alive) - len(scores), config)
         hits = sorted(i for i, s in scores.items() if s >= tau)
         anchor_verbs = verbs_of(anchor)
         matched = [anchor] + [index for index in hits if anchor_verbs <= verbs_of(index)]

@@ -17,12 +17,7 @@ import pytest
 
 from celerlog import MockBackend, RouterConfig, run
 from celerlog.cli import main
-from celerlog.evaluation import (
-    f1_grouping_accuracy,
-    f1_template_accuracy,
-    grouping_accuracy,
-    parsing_accuracy,
-)
+from celerlog.evaluation import Metrics, evaluate
 from celerlog.llm import PromptEnvelope, TransportError, process_sparse
 from celerlog.model import (
     PLACEHOLDER,
@@ -193,10 +188,9 @@ def test_c05_metrics_match_naive_evaluator():
                 i: gt[i] if rng.random() < 0.6 else rng.choice(pred_pool)
                 for i in range(n_records)
             }
-            assert abs(grouping_accuracy(pred, gt) - naive_ga(pred, gt)) <= 1e-12
-            assert abs(parsing_accuracy(pred, gt) - naive_pa(pred, gt)) <= 1e-12
-            assert abs(f1_grouping_accuracy(pred, gt) - naive_fga(pred, gt)) <= 1e-12
-            assert abs(f1_template_accuracy(pred, gt) - naive_fta(pred, gt)) <= 1e-12
+            assert evaluate(pred, gt) == Metrics(
+                naive_ga(pred, gt), naive_pa(pred, gt), naive_fga(pred, gt), naive_fta(pred, gt)
+            )
         assert time.perf_counter() - started < 30
 
 

@@ -281,6 +281,46 @@ class TestEvalCommand:
         assert str(gt) in err and named in err
 
 
+    @pytest.mark.parametrize(
+        ("run_info", "ledger"),
+        [
+            ("[]", None),
+            ('{"ledger": 5}', None),
+            ('{"ledger": {"llm_invocations": 3}, "routing": 5}', {"llm_invocations": 3}),
+        ],
+        ids=["not-an-object", "ledger-not-an-object", "routing-not-an-object"],
+    )
+    def test_run_json_of_the_wrong_shape_is_left_out(self, tmp_path, run_info, ledger):
+        structured = tmp_path / "structured.csv"
+        structured.write_text("LineId,EventTemplate\n0,a\n", encoding="utf-8")
+        (tmp_path / "run.json").write_text(run_info, encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        code = main([
+            "eval", "--structured", str(structured),
+            "--ground-truth", str(structured), "--report", str(report_path),
+        ])
+        assert code == 0
+        payload = json.loads(report_path.read_text())
+        assert payload["ledger"] == ledger
+        assert payload["routing"] is None
+
+    @pytest.mark.parametrize("bad_file", ["structured", "ground-truth"])
+    def test_csv_not_utf8_exits_2(self, tmp_path, capsys, bad_file):
+        paths = {}
+        for name in ("structured", "ground-truth"):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("LineId,EventTemplate\n0,caf\u00e9 <*>\n", encoding="utf-8")
+        paths[bad_file].write_bytes(b"LineId,EventTemplate\n0,caf\xe9 <*>\n")
+        code = main([
+            "eval", "--structured", str(paths["structured"]),
+            "--ground-truth", str(paths["ground-truth"]), "--report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("celerlog: error: ")
+        assert str(paths[bad_file]) in err and "UTF-8" in err
+
+
 class TestFlagSurface:
     def test_defaults_equal_router_config(self):
         parser = build_parser()

@@ -1,21 +1,14 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
-from celerlog.evaluation import (
-    Metrics,
-    evaluate,
-    f1_grouping_accuracy,
-    f1_template_accuracy,
-    grouping_accuracy,
-    load_template_csv,
-    normalize_template,
-    parsing_accuracy,
-    report,
-)
+from celerlog.evaluation import Metrics, evaluate, load_template_csv, normalize_template, report
 from celerlog.model import ConfigError
-from oracles import naive_fga, naive_fta, naive_ga, naive_pa
+from oracles import naive_fga, naive_fta, naive_ga, naive_normalize, naive_pa
 
 
 PERFECT = {0: "a <*>", 1: "a <*>", 2: "b c", 3: "b c"}
@@ -23,62 +16,64 @@ PERFECT = {0: "a <*>", 1: "a <*>", 2: "b c", 3: "b c"}
 
 class TestGroupingAccuracy:
     def test_perfect(self):
-        assert grouping_accuracy(PERFECT, dict(PERFECT)) == 1.0
+        assert evaluate(PERFECT, dict(PERFECT)).ga == 1.0
 
     def test_merged_clusters_score_zero(self):
         pred = {0: "t", 1: "t", 2: "t", 3: "t"}
-        assert grouping_accuracy(pred, PERFECT) == 0.0
+        assert evaluate(pred, PERFECT).ga == 0.0
 
     def test_split_cluster_scores_zero_for_its_records(self):
         pred = {0: "a <*>", 1: "a <*>", 2: "b c one", 3: "b c two"}
-        assert grouping_accuracy(pred, PERFECT) == 0.5
+        assert evaluate(pred, PERFECT).ga == 0.5
 
     def test_universe_mismatch_fatal(self):
         with pytest.raises(ConfigError):
-            grouping_accuracy({0: "x"}, {0: "x", 1: "y"})
+            evaluate({0: "x"}, {0: "x", 1: "y"})
 
 
 class TestParsingAccuracy:
     def test_exact_match(self):
-        assert parsing_accuracy(PERFECT, dict(PERFECT)) == 1.0
+        assert evaluate(PERFECT, dict(PERFECT)).pa == 1.0
 
     def test_collapse_normalization(self):
         pred = {0: "a <*> <*> b"}
         gt = {0: "a <*> b"}
-        assert parsing_accuracy(pred, gt) == 1.0
+        assert evaluate(pred, gt).pa == 1.0
 
     def test_wrong_constant(self):
         pred = {0: "a x b"}
         gt = {0: "a <*> b"}
-        assert parsing_accuracy(pred, gt) == 0.0
+        assert evaluate(pred, gt).pa == 0.0
 
 
 class TestTemplateF1:
     def test_perfect(self):
-        assert f1_grouping_accuracy(PERFECT, dict(PERFECT)) == 1.0
-        assert f1_template_accuracy(PERFECT, dict(PERFECT)) == 1.0
+        metrics = evaluate(PERFECT, dict(PERFECT))
+        assert metrics.fga == metrics.fta == 1.0
 
     def test_half_correct_grouping(self):
         pred = {0: "a <*>", 1: "a <*>", 2: "b c one", 3: "b c two"}
         # 1 of 3 predicted templates grouping-correct; 2 gt templates.
         p, r = 1 / 3, 1 / 2
-        assert f1_grouping_accuracy(pred, PERFECT) == pytest.approx(2 * p * r / (p + r))
+        assert evaluate(pred, PERFECT).fga == pytest.approx(2 * p * r / (p + r))
 
     def test_text_must_match_for_fta(self):
         pred = {0: "a <*>", 1: "a <*>", 2: "b d", 3: "b d"}
-        assert f1_grouping_accuracy(pred, PERFECT) == 1.0
-        assert f1_template_accuracy(pred, PERFECT) == 0.5
+        metrics = evaluate(pred, PERFECT)
+        assert metrics.fga == 1.0
+        assert metrics.fta == 0.5
 
     def test_nothing_correct(self):
         pred = {0: "x", 1: "y", 2: "z", 3: "w"}
-        assert f1_grouping_accuracy(pred, PERFECT) == 0.0
-        assert f1_template_accuracy(pred, PERFECT) == 0.0
+        metrics = evaluate(pred, PERFECT)
+        assert metrics.fga == metrics.fta == 0.0
 
     def test_fta_never_exceeds_fga(self):
         rng = random.Random(99)
         for _ in range(50):
             pred, gt = _random_pair(rng, 40)
-            assert f1_template_accuracy(pred, gt) <= f1_grouping_accuracy(pred, gt) + 1e-12
+            metrics = evaluate(pred, gt)
+            assert metrics.fta <= metrics.fga + 1e-12
 
 
 class TestNormalizeTemplate:
@@ -112,10 +107,9 @@ class TestOracleAgreement:
     def test_matches_naive_evaluator(self, seed):
         rng = random.Random(seed)
         pred, gt = _random_pair(rng, rng.randint(1, 60))
-        assert grouping_accuracy(pred, gt) == pytest.approx(naive_ga(pred, gt), abs=1e-12)
-        assert parsing_accuracy(pred, gt) == pytest.approx(naive_pa(pred, gt), abs=1e-12)
-        assert f1_grouping_accuracy(pred, gt) == pytest.approx(naive_fga(pred, gt), abs=1e-12)
-        assert f1_template_accuracy(pred, gt) == pytest.approx(naive_fta(pred, gt), abs=1e-12)
+        assert evaluate(pred, gt) == Metrics(
+            naive_ga(pred, gt), naive_pa(pred, gt), naive_fga(pred, gt), naive_fta(pred, gt)
+        )
 
     def test_order_symmetry(self):
         rng = random.Random(5)
@@ -125,6 +119,68 @@ class TestOracleAgreement:
         pred_shuffled = {i: pred[i] for i in shuffled}
         gt_shuffled = {i: gt[i] for i in shuffled}
         assert evaluate(pred, gt) == evaluate(pred_shuffled, gt_shuffled)
+
+
+TEMPLATES = st.lists(st.sampled_from(["get", "disk", "<*>"]), min_size=1, max_size=4).map(
+    " ".join
+)
+
+
+@st.composite
+def template_pairs(draw):
+    """Predictions and ground truth over the same line ids: each true template
+    is renamed to one predicted template, so two true templates can merge, and
+    any record can take another template instead, so a true cluster can split."""
+    truths = draw(st.lists(TEMPLATES, min_size=1, max_size=4, unique=True))
+    ground_truth = draw(st.lists(st.sampled_from(truths), min_size=1, max_size=12))
+    renamed = {truth: draw(st.one_of(st.just(truth), TEMPLATES)) for truth in truths}
+    predictions = [
+        draw(st.one_of(st.just(renamed[truth]), TEMPLATES)) for truth in ground_truth
+    ]
+    return dict(enumerate(predictions)), dict(enumerate(ground_truth))
+
+
+def _clusters_spanning_two(case, side):
+    members: dict[str, set[str]] = {}
+    for line_id, template in case[side].items():
+        members.setdefault(template, set()).add(case[1 - side][line_id])
+    return any(len(others) > 1 for others in members.values())
+
+
+def _equal_after_collapse(case):
+    pred, gt = case
+    return any(
+        pred[i] != gt[i] and naive_normalize(pred[i]) == naive_normalize(gt[i]) for i in pred
+    )
+
+
+class TestEvaluateAgainstOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(template_pairs())
+    def test_equals_naive_metrics(self, case):
+        pred, gt = case
+        assert evaluate(pred, gt) == Metrics(
+            naive_ga(pred, gt), naive_pa(pred, gt), naive_fga(pred, gt), naive_fta(pred, gt)
+        )
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            lambda case: _clusters_spanning_two(case, 0),
+            lambda case: _clusters_spanning_two(case, 1),
+            _equal_after_collapse,
+            lambda case: naive_fga(*case) > naive_fta(*case),
+            lambda case: len(case[0]) == 1,
+        ],
+        ids=["merged-true-clusters", "split-true-cluster", "equal-after-collapse",
+             "grouped-with-wrong-text", "one-record"],
+    )
+    def test_generator_covers(self, feature):
+        find(
+            template_pairs(),
+            feature,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
 
 
 class TestReportAndIo:
@@ -152,6 +208,12 @@ class TestReportAndIo:
         path = tmp_path / "gt.csv"
         path.write_bytes(b'\xef\xbb\xbfLineId,EventTemplate\n0,"a <*>"\n1,b\n')
         assert load_template_csv(path) == {0: "a <*>", 1: "b"}
+
+    def test_not_utf8_fatal(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(b"LineId,EventTemplate\n0,caf\xe9 <*>\n")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_template_csv(path)
 
     def test_duplicate_line_id_fatal(self, tmp_path):
         path = tmp_path / "gt.csv"

@@ -125,13 +125,13 @@ class TestSingletonRatio:
 
 class TestSelectThreshold:
     def test_reverts_to_preceding_grid_point(self):
-        assert select_threshold([0.6, 0.0], RouterConfig()) == 0.60
+        assert select_threshold([0.6], 1, RouterConfig()) == 0.60
 
     def test_never_reaching_limit_returns_tau_max(self):
-        assert select_threshold([1.0, 1.0, 1.0], RouterConfig()) == 0.95
+        assert select_threshold([1.0, 1.0, 1.0], 0, RouterConfig()) == 0.95
 
     def test_clamps_to_tau_min(self):
-        assert select_threshold([0.4, 0.3], RouterConfig()) == 0.5
+        assert select_threshold([0.3, 0.4], 0, RouterConfig()) == 0.5
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -146,7 +146,10 @@ class TestSelectThreshold:
         st.builds(RouterConfig, p_quantile=st.sampled_from([0.05, 0.5, 0.8, 0.95, 1.0])),
     )
     def test_matches_linear_sweep(self, similarities, config):
-        assert select_threshold(similarities, config) == naive_select_threshold(
+        # merge_bucket passes the non-zero scores sorted and counts the zeros.
+        ordered = sorted(score for score in similarities if score)
+        zeros = len(similarities) - len(ordered)
+        assert select_threshold(ordered, zeros, config) == naive_select_threshold(
             similarities, config
         )
 
