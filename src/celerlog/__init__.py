@@ -7,7 +7,6 @@ backend with validation and rollback).
 
 __version__ = "0.1.0"
 
-from .evaluation import Metrics, evaluate
 from .llm import HttpBackend, MockBackend
 from .model import (
     CostLedger,
@@ -40,3 +39,10 @@ __all__ = [
     "route",
     "run",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("Metrics", "evaluate"):  # the scorer loads on first use; parsing never needs it
+        from . import evaluation
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, evaluation, pipeline
+from . import __version__, pipeline
 from .llm import HttpBackend, MockBackend
 from .model import CelerlogError, RouterConfig
 
@@ -92,6 +92,7 @@ def _run_parse(args: argparse.Namespace) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
+    from . import evaluation
     predictions = evaluation.load_template_csv(args.structured)
     ground_truth = evaluation.load_template_csv(args.ground_truth)
     metrics = evaluation.evaluate(predictions, ground_truth)

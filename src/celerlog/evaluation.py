@@ -48,19 +48,25 @@ def load_template_csv(path: str | Path) -> dict[int, str]:
         raise ConfigError(f"file not found: {path}")
     mapping: dict[int, str] = {}
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         try:
-            if reader.fieldnames is None or "LineId" not in reader.fieldnames:
+            header = next(reader, None)
+            if header is None or "LineId" not in header:
                 raise ConfigError(f"{path} has no LineId column")
-            if "EventTemplate" not in reader.fieldnames:
+            if "EventTemplate" not in header:
                 raise ConfigError(f"{path} has no EventTemplate column")
+            # As in csv.DictReader, a repeated name means its last column; blank lines are skipped.
+            columns = {name: index for index, name in enumerate(header)}
+            id_column, template_column = columns["LineId"], columns["EventTemplate"]
             for row in reader:
-                # DictReader fills the cells a short row lacks with None.
-                value, template = row["LineId"], row["EventTemplate"]
-                if value is None or template is None:
+                try:
+                    value, template = row[id_column], row[template_column]
+                except IndexError:
+                    if not row:
+                        continue
                     raise ConfigError(
                         f"{path} line {reader.line_num} has no LineId or EventTemplate cell"
-                    )
+                    ) from None
                 try:
                     line_id = int(value)
                 except ValueError:

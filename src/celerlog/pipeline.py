@@ -8,21 +8,19 @@ pool and the skeletons passed to ``route()``. On a 2-vCPU machine the pool
 no longer pays (dense-40k ``parse_s_jN`` 1.13 s with it against 1.06 s
 without, README "Notes on parallelism"); it stays for machines with at
 least 4 cores, where the acceptance suite asks ``--jobs 8`` to be faster.
-``multiprocessing`` and ``ProcessPoolExecutor`` are imported only on that
-pool path, in ``_fork_ready`` and ``_mask_on_pool``: importing them took
-about 22 ms of every start-up.
+``multiprocessing`` and ``concurrent.futures`` load only on that pool path,
+in ``_fork_ready`` and ``_mask_on_pool``.
 
-Sparse groups wait on the backend, so ``llm.process_sparse`` runs as one
-thread-pool future while the dense side computes, at every ``jobs`` value;
-its result, or its error, is collected before the outputs are assembled. All
-aggregation happens in a fixed order, so output bytes never depend on the
-worker count.
+Sparse groups wait on the backend, so ``llm.process_sparse`` runs on one
+plain thread while the dense side computes, at every ``jobs`` value, and is
+joined before the outputs are assembled. Aggregation follows a fixed order,
+so output bytes never depend on the worker count.
 
 The cyclic garbage collector is off while ``run()`` computes, from ingest
 through writing: those phases allocate millions of objects that hold no
 cycles, and each collection traverses the live ones. On dense-40k the
 collector took about a tenth of a run, in 340 collections. It comes back on
-while ``run()`` only waits on the sparse future, so a long HTTP run still
+while ``run()`` only waits on the sparse thread, so a long HTTP run still
 collects, and ``run()`` restores the caller's setting however it exits.
 """
 
@@ -33,8 +31,8 @@ import gc
 import io
 import json
 import os
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 from typing import NamedTuple, Sequence, TextIO
@@ -234,22 +232,33 @@ def run(
             dense, sparse, routing_stats = route(records, config)
         ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
-        # The sparse future starts after the masking pool has forked its
+        # The sparse thread starts after the masking pool has forked its
         # workers, so no pool ever forks a multi-threaded parent. Dense
         # extraction overlaps the backend's waits.
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            sparse_future = executor.submit(llm.process_sparse, sparse, backend, config, ledger)
+        sparse_outcome: list = []
+
+        def sparse_side() -> None:
+            try:
+                sparse_outcome.append(llm.process_sparse(sparse, backend, config, ledger))
+            except BaseException as exc:
+                sparse_outcome.append(exc)
+
+        sparse_thread = threading.Thread(target=sparse_side)
+        sparse_thread.start()
+        try:
             by_content: dict[str, TemplateResult] = {}
             for group in dense:
                 by_content.update(statistical.extract_template(group))
             # Re-enabling makes the next allocation collect every object
             # allocated so far, so it pays only when there is a wait to fill.
-            if collecting and not sparse_future.done():
+            if collecting and sparse_thread.is_alive():
                 gc.enable()
-            try:
-                by_content.update(sparse_future.result())
-            finally:
-                gc.disable()
+        finally:
+            sparse_thread.join()
+            gc.disable()
+        if isinstance(sparse_outcome[0], BaseException):
+            raise sparse_outcome[0]
+        by_content.update(sparse_outcome[0])
 
         rows: list[ParsedRecord] = []
         for record in records:

@@ -197,7 +197,9 @@ def naive_post_process(template: str) -> str:
 
 
 def naive_normalize(template: str) -> str:
-    tokens = [token for token in template.split(" ") if token != ""]
+    # Tokens are separated by any run of whitespace: tabs and repeated
+    # spaces in a ground-truth template compare as one space.
+    tokens = template.split()
     kept: list[str] = []
     index = 0
     while index < len(tokens):

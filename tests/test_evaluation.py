@@ -121,9 +121,18 @@ class TestOracleAgreement:
         assert evaluate(pred, gt) == evaluate(pred_shuffled, gt_shuffled)
 
 
-TEMPLATES = st.lists(st.sampled_from(["get", "disk", "<*>"]), min_size=1, max_size=4).map(
-    " ".join
-)
+@st.composite
+def _templates(draw):
+    """Tokens joined by one or two spaces or a tab, at times padded with whitespace."""
+    tokens = draw(st.lists(st.sampled_from(["get", "disk", "<*>"]), min_size=1, max_size=4))
+    template = tokens[0]
+    for token in tokens[1:]:
+        template += draw(st.sampled_from([" ", "  ", "\t"])) + token
+    padding = st.sampled_from(["", " ", "\t"])
+    return draw(padding) + template + draw(padding)
+
+
+TEMPLATES = _templates()
 
 
 @st.composite
@@ -147,11 +156,22 @@ def _clusters_spanning_two(case, side):
     return any(len(others) > 1 for others in members.values())
 
 
+def _squeezed(template):
+    return " ".join(template.split())
+
+
 def _equal_after_collapse(case):
     pred, gt = case
     return any(
-        pred[i] != gt[i] and naive_normalize(pred[i]) == naive_normalize(gt[i]) for i in pred
+        _squeezed(pred[i]) != _squeezed(gt[i])
+        and naive_normalize(pred[i]) == naive_normalize(gt[i])
+        for i in pred
     )
+
+
+def _equal_after_squeeze(case):
+    pred, gt = case
+    return any(pred[i] != gt[i] and _squeezed(pred[i]) == _squeezed(gt[i]) for i in pred)
 
 
 class TestEvaluateAgainstOracle:
@@ -169,11 +189,12 @@ class TestEvaluateAgainstOracle:
             lambda case: _clusters_spanning_two(case, 0),
             lambda case: _clusters_spanning_two(case, 1),
             _equal_after_collapse,
+            _equal_after_squeeze,
             lambda case: naive_fga(*case) > naive_fta(*case),
             lambda case: len(case[0]) == 1,
         ],
         ids=["merged-true-clusters", "split-true-cluster", "equal-after-collapse",
-             "grouped-with-wrong-text", "one-record"],
+             "equal-after-squeeze", "grouped-with-wrong-text", "one-record"],
     )
     def test_generator_covers(self, feature):
         find(

@@ -308,6 +308,26 @@ class TestProcessSparse:
         assert results == serial
         assert ledger.to_dict() == serial_ledger.to_dict()
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_caller_runs_one_loop_and_joins_the_others(self, jobs):
+        class ThreadRecordingBackend(InflightCountingBackend):
+            def infer(self, envelope):
+                with self._lock:
+                    callers.add(threading.get_ident())
+                return super().infer(envelope)
+
+        callers: set[int] = set()
+        groups = [sparse_group(f"event kind{i} on host{i} now", i) for i in range(20)]
+        before = set(threading.enumerate())
+        process_sparse(
+            groups, ThreadRecordingBackend(delay=0.02), RouterConfig(jobs=jobs, llm_batch_size=2),
+            CostLedger(),
+        )
+        assert [thread for thread in threading.enumerate() if thread not in before] == []
+        assert threading.get_ident() in callers and len(callers) <= jobs
+        if jobs == 1:
+            assert callers == {threading.get_ident()}
+
     def test_backend_error_in_one_batch_propagates(self):
         groups = [sparse_group(f"event kind{i} on host{i} now", i) for i in range(20)]
         backend = InflightCountingBackend(delay=0.001, fail_on="event kind13 on host13 now")

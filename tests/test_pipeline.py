@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from functools import partial
@@ -203,6 +204,14 @@ class _CollectorProbeBackend(MockBackend):
         return super().infer(envelope)
 
 
+class _SlowMockBackend(MockBackend):
+    """Answers as the mock after 5 ms, so the sparse side outlasts a failing dense side."""
+
+    def infer(self, envelope):
+        time.sleep(0.005)
+        return super().infer(envelope)
+
+
 class TestRun:
     def test_snapshot_catalog(self, tmp_path):
         path = write_lines(tmp_path / "in.log", fig5_lines())
@@ -251,6 +260,28 @@ class TestRun:
         with pytest.raises(RuntimeError, match="backend bug"):
             run(path, RouterConfig(jobs=jobs), _BrokenBackend(), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("failure", [None, "backend", "dense"])
+    def test_every_thread_run_starts_is_joined(self, tmp_path, monkeypatch, jobs, failure):
+        # Threads that other tests left behind may end meanwhile, so the check
+        # is that no thread alive after run() was missing before it.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        backend = _BrokenBackend() if failure == "backend" else _SlowMockBackend()
+        if failure == "dense":
+
+            def broken_extract(group):
+                raise InternalInvariantError("dense bug")
+
+            monkeypatch.setattr(statistical, "extract_template", broken_extract)
+        before = set(threading.enumerate())
+        if failure is None:
+            run(path, RouterConfig(jobs=jobs), backend)
+        else:
+            with pytest.raises((RuntimeError, InternalInvariantError), match=f"{failure} bug"):
+                run(path, RouterConfig(jobs=jobs), backend)
+        assert [thread for thread in threading.enumerate() if thread not in before] == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
@@ -316,12 +347,14 @@ class TestRun:
 
     def test_mock_run_never_imports_requests(self, tmp_path):
         # A fresh interpreter, since an earlier test may have imported them.
-        # Neither dataclasses nor multiprocessing loads for a jobs=1 run.
+        # No thread pool, no logging and no scorer loads for a jobs=1 run
+        # either.
         path = write_lines(tmp_path / "in.log", fig5_lines())
         script = (
             "import sys\n"
             "import celerlog\n"
-            "modules = ('requests', 'dataclasses', 'multiprocessing')\n"
+            "modules = ('requests', 'dataclasses', 'multiprocessing', 'concurrent.futures',\n"
+            "           'logging', 'celerlog.evaluation')\n"
             "print([name for name in modules if name in sys.modules])\n"
             "celerlog.run(sys.argv[1], celerlog.RouterConfig(jobs=1), celerlog.MockBackend())\n"
             "print([name for name in modules if name in sys.modules])\n"
@@ -333,21 +366,36 @@ class TestRun:
         )
         assert child.stdout.splitlines() == ["[]", "[]"]
 
+    def test_scorer_resolves_on_first_use(self):
+        from celerlog import Metrics, evaluate
+
+        assert evaluate is celerlog.evaluation.evaluate
+        assert Metrics is celerlog.evaluation.Metrics
+        assert celerlog.__all__ == [
+            "__version__", "CostLedger", "DenseGroup", "HttpBackend", "LogBucket",
+            "LogRecord", "Metrics", "MockBackend", "RouterConfig", "RunResult",
+            "SkeletonGroup", "SparseGroup", "TemplateResult", "evaluate", "route", "run",
+        ]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            celerlog.no_such_name
+
     @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
     def test_pool_run_imports_multiprocessing_itself(self, tmp_path):
         # A fresh interpreter that has never imported multiprocessing: the
         # jobs=2 run must import it, take the pool and write the jobs=1 bytes.
+        # The pool forks a single-threaded parent: no thread has started yet,
+        # and the jobs=1 run joined the ones it started.
         lines, _ = make_template_corpus(
             n_lines=pipeline._PARALLEL_THRESHOLD + 500, n_templates=15, n_oneoffs=50, seed=23
         )
         path = write_lines(tmp_path / "in.log", lines)
         script = (
-            "import sys\n"
+            "import sys, threading\n"
             "from celerlog import RouterConfig, pipeline, run\n"
             "pooled = []\n"
             "mask_on_pool = pipeline._mask_on_pool\n"
             "def recorded(*args):\n"
-            "    pooled.append(True)\n"
+            "    pooled.append(threading.active_count())\n"
             "    return mask_on_pool(*args)\n"
             "pipeline._mask_on_pool = recorded\n"
             "run(sys.argv[1], RouterConfig(jobs=1), out_dir=sys.argv[2])\n"
@@ -361,7 +409,7 @@ class TestRun:
             [sys.executable, "-c", script, str(path), str(serial), str(pooled)],
             capture_output=True, text=True, env=env, check=True, timeout=120,
         )
-        assert child.stdout.splitlines() == ["False []", "True [True]"]
+        assert child.stdout.splitlines() == ["False []", "True [1]"]
         for name in ("structured.csv", "templates.csv"):
             assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
