@@ -129,10 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "parse":
             return _run_parse(args)
         return _run_eval(args)
-    except CelerlogError as exc:
-        print(f"celerlog: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CelerlogError, OSError) as exc:
         print(f"celerlog: error: {exc}", file=sys.stderr)
         return 2
 

@@ -165,7 +165,7 @@ def validate_and_mask(content: str, variables: Sequence[str]) -> TemplateResult:
         return TemplateResult(template=content, parameters=(), source=SOURCE_ROLLBACK)
 
     covered = bytearray(len(content))
-    for variable in sorted(set(survivors), key=lambda v: (-len(v), survivors.index(v))):
+    for variable in sorted(dict.fromkeys(survivors), key=len, reverse=True):
         start = 0
         while True:
             position = content.find(variable, start)

@@ -11,17 +11,21 @@ least 4 cores, where the acceptance suite asks ``--jobs 8`` to be faster.
 ``multiprocessing`` and ``concurrent.futures`` load only on that pool path,
 in ``_fork_ready`` and ``_mask_on_pool``.
 
-Sparse groups wait on the backend, so ``llm.process_sparse`` runs on one
-plain thread while the dense side computes, at every ``jobs`` value, and is
-joined before the outputs are assembled. Aggregation follows a fixed order,
-so output bytes never depend on the worker count.
+The phases run in order on the calling thread: every dense group is
+extracted, then ``llm.process_sparse`` sends the sparse groups to the
+backend. Neither side reads the other's results, so the order cannot change
+the output, and a dense-side error raises before any LLM request is sent.
+Threads start only inside ``process_sparse``, and none at ``jobs=1``.
+Aggregation follows a fixed order, so output bytes never depend on the
+worker count.
 
 The cyclic garbage collector is off while ``run()`` computes, from ingest
 through writing: those phases allocate millions of objects that hold no
 cycles, and each collection traverses the live ones. On dense-40k the
-collector took about a tenth of a run, in 340 collections. It comes back on
-while ``run()`` only waits on the sparse thread, so a long HTTP run still
-collects, and ``run()`` restores the caller's setting however it exits.
+collector took about a tenth of a run, in 340 collections. When the caller
+had it on, it comes back on only around the ``process_sparse`` call, which
+mostly waits, so a long HTTP run still collects; ``run()`` restores the
+caller's setting however it exits.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import gc
 import io
 import json
 import os
-import threading
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -232,33 +235,17 @@ def run(
             dense, sparse, routing_stats = route(records, config)
         ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
-        # The sparse thread starts after the masking pool has forked its
-        # workers, so no pool ever forks a multi-threaded parent. Dense
-        # extraction overlaps the backend's waits.
-        sparse_outcome: list = []
-
-        def sparse_side() -> None:
-            try:
-                sparse_outcome.append(llm.process_sparse(sparse, backend, config, ledger))
-            except BaseException as exc:
-                sparse_outcome.append(exc)
-
-        sparse_thread = threading.Thread(target=sparse_side)
-        sparse_thread.start()
+        by_content: dict[str, TemplateResult] = {}
+        for group in dense:
+            by_content.update(statistical.extract_template(group))
+        # The sparse side mostly waits on the backend, so the collector comes
+        # back on around it when the caller had it on.
+        if collecting:
+            gc.enable()
         try:
-            by_content: dict[str, TemplateResult] = {}
-            for group in dense:
-                by_content.update(statistical.extract_template(group))
-            # Re-enabling makes the next allocation collect every object
-            # allocated so far, so it pays only when there is a wait to fill.
-            if collecting and sparse_thread.is_alive():
-                gc.enable()
+            by_content.update(llm.process_sparse(sparse, backend, config, ledger))
         finally:
-            sparse_thread.join()
             gc.disable()
-        if isinstance(sparse_outcome[0], BaseException):
-            raise sparse_outcome[0]
-        by_content.update(sparse_outcome[0])
 
         rows: list[ParsedRecord] = []
         for record in records:

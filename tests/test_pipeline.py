@@ -205,10 +205,21 @@ class _CollectorProbeBackend(MockBackend):
 
 
 class _SlowMockBackend(MockBackend):
-    """Answers as the mock after 5 ms, so the sparse side outlasts a failing dense side."""
+    """Answers as the mock after 5 ms, so a request loop left unjoined is still running."""
 
     def infer(self, envelope):
         time.sleep(0.005)
+        return super().infer(envelope)
+
+
+class _CountingMockBackend(MockBackend):
+    """Answers as the mock and records one entry per request."""
+
+    def __init__(self):
+        self.requests = []
+
+    def infer(self, envelope):
+        self.requests.append(envelope)
         return super().infer(envelope)
 
 
@@ -282,6 +293,38 @@ class TestRun:
             with pytest.raises((RuntimeError, InternalInvariantError), match=f"{failure} bug"):
                 run(path, RouterConfig(jobs=jobs), backend)
         assert [thread for thread in threading.enumerate() if thread not in before] == []
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_dense_failure_sends_no_request(self, tmp_path, monkeypatch, jobs):
+        lines, _ = make_template_corpus(n_lines=400, n_templates=12, n_oneoffs=40, seed=13)
+        path = write_lines(tmp_path / "in.log", lines)
+        backend = _CountingMockBackend()
+        run(path, RouterConfig(jobs=jobs), backend)
+        assert backend.requests
+
+        def broken_extract(group):
+            raise InternalInvariantError("dense bug")
+
+        monkeypatch.setattr(statistical, "extract_template", broken_extract)
+        backend = _CountingMockBackend()
+        with pytest.raises(InternalInvariantError, match="dense bug"):
+            run(path, RouterConfig(jobs=jobs), backend)
+        assert backend.requests == []
+
+    def test_jobs_one_starts_no_thread(self, tmp_path, monkeypatch):
+        lines, _ = make_template_corpus(n_lines=400, n_templates=12, n_oneoffs=40, seed=13)
+        path = write_lines(tmp_path / "in.log", lines)
+        started = []
+        start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        result = run(path, RouterConfig(jobs=1), MockBackend())
+        assert result.ledger.to_dict()["llm_invocations"] > 0
+        assert started == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
