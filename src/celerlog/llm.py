@@ -30,8 +30,10 @@ from .model import (
 )
 from .statistical import collapse
 
-DEFAULT_MAX_RETRIES = 3
-DEFAULT_BACKOFF_SECONDS = 0.5
+#: Retries of a batch after a retryable transport failure, and the first
+#: backoff wait in seconds, which doubles on each retry.
+MAX_RETRIES = 3
+BACKOFF_SECONDS = 0.5
 #: The longest ``Retry-After`` a batch waits for; a server asking for more
 #: (a spent daily quota, say) gets the batch rolled back at once.
 MAX_RETRY_AFTER_SECONDS = 30.0
@@ -60,22 +62,18 @@ class TransportError(CelerlogError):
 
 
 class PromptEnvelope(NamedTuple):
-    """A full request: fixed framing plus the per-request message payload.
+    """One request: the numbered message payload and the messages it holds.
 
-    Only the payload varies between requests in a run; task description,
-    constraints and examples are byte-identical every time.
+    ``render()`` is the whole prompt: the fixed framing of data/prompt.txt
+    (task, constraints, examples), a blank line, then the payload. Only the
+    payload varies between requests.
     """
 
-    task_description: str
-    constraints: str
-    examples: str
     payload: str
     messages: tuple[str, ...]
 
     def render(self) -> str:
-        return "\n\n".join(
-            (self.task_description, self.constraints, self.examples, self.payload)
-        )
+        return f"{load_prompt_parts()}\n\n{self.payload}"
 
 
 class BackendResponse(NamedTuple):
@@ -89,53 +87,36 @@ class InferenceBackend(Protocol):
 
 
 @lru_cache(maxsize=1)
-def load_prompt_parts() -> tuple[str, str, str]:
-    """Load the fixed prompt sections from the packaged fixture."""
-    text = _data_text("prompt.txt")
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for line in text.splitlines():
-        header = line.strip()
-        if header in ("=== TASK ===", "=== CONSTRAINTS ===", "=== EXAMPLES ==="):
-            current = sections.setdefault(header, [])
-            continue
-        if current is not None:
-            current.append(line)
-    try:
-        return tuple("\n".join(sections[name]).strip() for name in
-                     ("=== TASK ===", "=== CONSTRAINTS ===", "=== EXAMPLES ==="))  # type: ignore[return-value]
-    except KeyError as exc:
-        raise ConfigError(f"prompt fixture is missing section {exc}") from exc
+def load_prompt_parts() -> str:
+    """The fixed framing every prompt starts with (data/prompt.txt)."""
+    return _data_text("prompt.txt")
 
 
 def build_prompt(messages: Sequence[str]) -> PromptEnvelope:
     """Assemble the envelope for a batch of message contents."""
     if not messages:
         raise ValueError("build_prompt needs at least one message")
-    task, constraints, examples = load_prompt_parts()
     lines = ["Input messages:"]
     lines.extend(f"{index}. {message}" for index, message in enumerate(messages, start=1))
-    return PromptEnvelope(
-        task_description=task,
-        constraints=constraints,
-        examples=examples,
-        payload="\n".join(lines),
-        messages=tuple(messages),
-    )
+    return PromptEnvelope(payload="\n".join(lines), messages=tuple(messages))
 
 
 def parse_response(raw: str, messages: Sequence[str]) -> list[list[str]]:
     """Extract one variable list per message from a backend reply.
 
     Lines look like ``2:<TAB>var<TAB>var``; a bare ``2:`` means no variables.
-    Missing, duplicated or surplus indices fail the whole batch.
+    Missing, duplicated, surplus or unreadable indices fail the whole batch.
     """
     found: dict[int, list[str]] = {}
     for line in raw.splitlines():
         match = _RESPONSE_LINE.match(line)
         if match is None:
             continue
-        index = int(match.group(1))
+        try:
+            index = int(match.group(1))
+        except ValueError as exc:
+            # More digits than int() converts (sys.get_int_max_str_digits).
+            raise FormatError(f"message index of {len(match.group(1))} digits") from exc
         if index in found:
             raise FormatError(f"duplicate variable list for message {index}")
         variables = [piece.strip() for piece in match.group(2).split("\t")]
@@ -314,20 +295,18 @@ def process_sparse(
     backend: InferenceBackend,
     config: RouterConfig,
     ledger: CostLedger,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
 ) -> dict[str, TemplateResult]:
     """Run every sparse group through the backend; returns content -> result.
 
     One representative per distinct content is queried (a sparse group
     normally holds exactly one). Requests go out in batches of the configured
-    size with up to ``config.jobs`` in flight. Retryable transport failures
-    retry after the wait the server asked for, or else with exponential
-    backoff; a terminal transport failure, a requested wait above
-    ``MAX_RETRY_AFTER_SECONDS``, exhausted retries and malformed replies all
-    degrade to rollbacks, never to exceptions. Every attempt counts as an
-    invocation. Any other exception the backend raises propagates, and no
-    batch is sent after it.
+    size with up to ``config.jobs`` in flight. A retryable transport failure
+    is retried up to ``MAX_RETRIES`` times, after the wait the server asked
+    for or else after ``BACKOFF_SECONDS``, doubled on each retry. A terminal
+    transport failure, a requested wait above ``MAX_RETRY_AFTER_SECONDS``,
+    exhausted retries and malformed replies all degrade to rollbacks, never
+    to exceptions. Every attempt counts as an invocation. Any other exception
+    the backend raises propagates, and no batch is sent after it.
     """
     contents: list[str] = []
     for item in sorted(groups, key=lambda s: s.group.key):
@@ -358,11 +337,11 @@ def process_sparse(
                 asked = exc.retry_after
                 if (
                     not exc.retryable
-                    or attempts > max_retries
+                    or attempts > MAX_RETRIES
                     or (asked is not None and asked > MAX_RETRY_AFTER_SECONDS)
                 ):
                     return rollback_all(batch)
-                time.sleep(backoff_seconds * (2 ** (attempts - 1)) if asked is None else asked)
+                time.sleep(BACKOFF_SECONDS * (2 ** (attempts - 1)) if asked is None else asked)
                 continue
             ledger.add_llm_usage(
                 response.prompt_tokens + response.completion_tokens, invocations=1

@@ -2,8 +2,8 @@
 
 Masking replaces five kinds of variable-shaped tokens with designated mask
 tokens, one for one, so a skeleton always has exactly as many tokens as the
-raw message. The rule patterns live in a plain-text fixture shipped with the
-package (data/mask_rules.tsv) so the behaviour is frozen and testable.
+raw message. The five rules (NUM, CL, UCL, BL, SL) are fixed, so they are a
+constant in code (``_MASK_RULES``, returned by ``default_mask_rules``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
 
 from .model import MASK_TOKENS, PLACEHOLDER, CelerlogError, ConfigError
 
@@ -22,7 +21,19 @@ _CLOSE_BRACKETS = ")]>"
 _TRAILING_PUNCT = ",:;.!?"
 _PEELED_TRAILING = _CLOSE_BRACKETS + _TRAILING_PUNCT
 
-_RULE_NAMES = ("NUM", "CL", "UCL", "BL", "SL")
+# Masking rules as (name, pattern) pairs in firing order. Patterns are
+# full-matched against a token core (surrounding brackets and trailing
+# sentence punctuation peeled off first); at most one rule fires per token.
+# SL additionally requires the core to be longer than a bare letter or to
+# have had adjacent brackets/punctuation peeled, so isolated single letters
+# stay untouched.
+_MASK_RULES = (
+    ("NUM", r"[+-]?(?:0[xX][0-9A-Fa-f]+|\d+\.?\d*|\.\d+)"),
+    ("CL", r"(?=(?:[^A-Za-z0-9]*[A-Za-z0-9]){2})(?=.*[/\\=:.\-_]).+"),
+    ("UCL", r"(?=.*[A-Za-z])(?=.*[0-9]).+"),
+    ("BL", r"[A-Z]{2,5}"),
+    ("SL", r"[/\\=:.\-_]*[A-Za-z][/\\=:.\-_]*"),
+)
 
 #: Entries kept by the per-token caches. Most distinct tokens of a corpus are
 #: values seen once, so an unbounded cache grows with the corpus; the words
@@ -34,45 +45,13 @@ class EmptyMessageError(CelerlogError):
     """Raised when a message has no tokens to mask."""
 
 
-class MaskRule(NamedTuple):
-    name: str
-    pattern: re.Pattern
-
-
 def _data_text(name: str) -> str:
     return resources.files("celerlog.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def _parse_mask_rules(text: str) -> tuple[MaskRule, ...]:
-    """Parse a rule table: one ``NAME<TAB>PATTERN`` line per rule.
-
-    Rules apply in table order and the order must be NUM, CL, UCL, BL, SL.
-    """
-    rules: list[MaskRule] = []
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            name, pattern = line.split("\t", 1)
-        except ValueError as exc:
-            raise ConfigError(f"malformed mask rule line: {line!r}") from exc
-        name = name.strip()
-        if name not in _RULE_NAMES:
-            raise ConfigError(f"unknown mask rule name: {name!r}")
-        try:
-            compiled = re.compile(pattern)
-        except re.error as exc:
-            raise ConfigError(f"invalid mask rule pattern for {name}: {exc}") from exc
-        rules.append(MaskRule(name=name, pattern=compiled))
-    if tuple(r.name for r in rules) != _RULE_NAMES:
-        raise ConfigError(f"mask rule table must define exactly {_RULE_NAMES} in order")
-    return tuple(rules)
-
-
-@lru_cache(maxsize=1)
-def default_mask_rules() -> tuple[MaskRule, ...]:
-    """The packaged rule table (data/mask_rules.tsv)."""
-    return _parse_mask_rules(_data_text("mask_rules.tsv"))
+def default_mask_rules() -> tuple[tuple[str, str], ...]:
+    """The five masking rules as (name, pattern) pairs, in firing order."""
+    return _MASK_RULES
 
 
 def compile_header_pattern(pattern: str) -> re.Pattern:
@@ -102,14 +81,14 @@ def strip_header(raw_line: str, header_pattern: re.Pattern | None = None) -> str
 
 @lru_cache(maxsize=1)
 def _classifier() -> re.Pattern:
-    """The rule table as one alternation with a named group per rule, in order.
+    """The rules as one alternation with a named group per rule, in order.
 
     ``fullmatch`` tries the alternatives in order, so ``lastgroup`` names the
     first rule that full-matches the core, as trying the rules one by one
     would. Built on first use, so start-up does not pay for it.
     """
     return re.compile(
-        "|".join(f"(?P<{rule.name}>{rule.pattern.pattern})" for rule in default_mask_rules())
+        "|".join(f"(?P<{name}>{pattern})" for name, pattern in _MASK_RULES)
     )
 
 

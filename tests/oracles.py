@@ -260,11 +260,22 @@ def naive_fta(pred: dict[int, str], gt: dict[int, str]) -> float:
     return _naive_template_matches(pred, gt, with_text=True)
 
 
-def naive_mask_token(token: str, rules) -> str:
-    """Mask one token by the rule table, peeling brackets one character at a time.
+#: The five masking rules of the paper, written out apart from the package's
+#: copy so that a change to either shows up in the differential test.
+NAIVE_MASK_RULES = (
+    ("NUM", re.compile(r"[+-]?(?:0[xX][0-9A-Fa-f]+|\d+\.?\d*|\.\d+)")),
+    ("CL", re.compile(r"(?=(?:[^A-Za-z0-9]*[A-Za-z0-9]){2})(?=.*[/\\=:.\-_]).+")),
+    ("UCL", re.compile(r"(?=.*[A-Za-z])(?=.*[0-9]).+")),
+    ("BL", re.compile(r"[A-Z]{2,5}")),
+    ("SL", re.compile(r"[/\\=:.\-_]*[A-Za-z][/\\=:.\-_]*")),
+)
 
-    ``rules`` is the package's rule table; the scan for designated tokens, the
-    peeling and the first-match rule loop are written out here.
+
+def naive_mask_token(token: str) -> str:
+    """Mask one token by ``NAIVE_MASK_RULES``, peeling brackets one character at a time.
+
+    The scan for designated tokens, the peeling and the first-match rule loop
+    are written out here.
     """
     if any(mask in token for mask in MASK_TOKENS + ("<*>",)):
         return token
@@ -276,12 +287,12 @@ def naive_mask_token(token: str, rules) -> str:
     prefix, core, suffix = token[:start], token[start:end], token[end:]
     if not core:
         return token
-    for rule in rules:
-        if rule.pattern.fullmatch(core) is None:
+    for name, pattern in NAIVE_MASK_RULES:
+        if pattern.fullmatch(core) is None:
             continue
-        if rule.name == "SL" and len(core) == 1 and not (prefix or suffix):
+        if name == "SL" and len(core) == 1 and not (prefix or suffix):
             continue
-        return f"{prefix}<{rule.name}>{suffix}"
+        return f"{prefix}<{name}>{suffix}"
     return token
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from celerlog import MockBackend, RouterConfig, run
+from celerlog import MockBackend, RouterConfig, llm, run
 from celerlog.cli import main
 from celerlog.evaluation import Metrics, evaluate
 from celerlog.llm import PromptEnvelope, TransportError, process_sparse
@@ -250,7 +250,8 @@ class _MalformedBackend:
         )()
 
 
-def test_c07_rollback_safety_under_faulty_backends(tmp_path):
+def test_c07_rollback_safety_under_faulty_backends(tmp_path, monkeypatch):
+    monkeypatch.setattr(llm, "BACKOFF_SECONDS", 0.001)
     with criterion(7, "faulty backends degrade to raw-content rollbacks, exit 0"):
         started = time.perf_counter()
         lines = make_dissimilar_corpus(4)
@@ -259,10 +260,7 @@ def test_c07_rollback_safety_under_faulty_backends(tmp_path):
         for backend in (_TimeoutBackend(), _HallucinatingBackend(), _MalformedBackend()):
             groups = route(records_of(lines), RouterConfig())[1]
             assert groups, "corpus must produce sparse groups"
-            results = process_sparse(
-                groups, backend, RouterConfig(jobs=2), CostLedger(),
-                max_retries=3, backoff_seconds=0.001,
-            )
+            results = process_sparse(groups, backend, RouterConfig(jobs=2), CostLedger())
             for item in groups:
                 content = next(iter(item.group.members))
                 assert results[content].template == content

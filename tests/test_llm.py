@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -7,14 +8,17 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from celerlog import llm
 from celerlog.llm import (
     MAX_RETRY_AFTER_SECONDS,
+    BackendResponse,
     FormatError,
     HttpBackend,
     MockBackend,
     PromptEnvelope,
     TransportError,
     build_prompt,
+    load_prompt_parts,
     parse_response,
     process_sparse,
     validate_and_mask,
@@ -60,10 +64,25 @@ class TestBuildPrompt:
     def test_fixed_parts_identical_across_requests(self):
         a = build_prompt(["alpha"])
         b = build_prompt(["omega omega omega"])
-        assert (a.task_description, a.constraints, a.examples) == (
-            b.task_description, b.constraints, b.examples,
-        )
         assert a.payload != b.payload
+        for envelope in (a, b):
+            assert envelope.render() == load_prompt_parts() + "\n\n" + envelope.payload
+
+    @pytest.mark.parametrize(
+        "messages, digest",
+        [
+            (["took 37 ms"],
+             "390cbf7757a5ade80309d228da39baeeb8188f696acd39472811022bff4b02fc"),
+            (["took 37 ms", "user alice logged in from 10.0.0.1"],
+             "8763c73421545bf98d116b9e9bcd42a2aeb08500dc2cca39b4b7a21cab185d5b"),
+        ],
+        ids=["one-message", "two-messages"],
+    )
+    def test_rendered_bytes_are_pinned(self, messages, digest):
+        # The prompt's length sets the token count of every request, so any
+        # drift in the framing or the payload layout must be deliberate.
+        rendered = build_prompt(messages).render().encode("utf-8")
+        assert hashlib.sha256(rendered).hexdigest() == digest
 
 
 class TestParseResponse:
@@ -251,28 +270,24 @@ class TestProcessSparse:
         process_sparse(groups, MockBackend(), RouterConfig(jobs=1, llm_batch_size=3), ledger)
         assert ledger.llm_invocations == 4
 
-    def test_timeouts_roll_back_and_complete(self):
+    def test_timeouts_roll_back_and_complete(self, monkeypatch):
+        monkeypatch.setattr(llm, "BACKOFF_SECONDS", 0.001)
         groups = [sparse_group(f"crash report {i}", i) for i in range(3)]
         backend = AlwaysTimeoutBackend()
         ledger = CostLedger()
-        results = process_sparse(
-            groups, backend, RouterConfig(jobs=2), ledger,
-            max_retries=3, backoff_seconds=0.001,
-        )
+        results = process_sparse(groups, backend, RouterConfig(jobs=2), ledger)
         for group in groups:
             content = next(iter(group.group.members))
             assert results[content].template == content
             assert results[content].source == SOURCE_ROLLBACK
         assert ledger.llm_invocations == 3 * (1 + 3)
 
-    def test_retry_then_success(self):
+    def test_retry_then_success(self, monkeypatch):
+        monkeypatch.setattr(llm, "BACKOFF_SECONDS", 0.001)
         groups = [sparse_group("retry target 99", 0)]
         backend = FlakyBackend(failures=2)
         ledger = CostLedger()
-        results = process_sparse(
-            groups, backend, RouterConfig(jobs=1), ledger,
-            max_retries=3, backoff_seconds=0.001,
-        )
+        results = process_sparse(groups, backend, RouterConfig(jobs=1), ledger)
         assert results["retry target 99"].source == SOURCE_LLM
         assert ledger.llm_invocations == 3
 
@@ -353,6 +368,18 @@ class TestProcessSparse:
         assert any(first in batch for batch in backend.batches)
         assert len(backend.batches) <= 3
 
+    def test_index_too_long_for_int_rolls_back(self):
+        class LongIndexBackend:
+            def infer(self, envelope):
+                return BackendResponse("9" * 5000 + ":\tx\n1:\t42", 3, 3)
+
+        ledger = CostLedger()
+        results = process_sparse(
+            [sparse_group("took 42 ms", 0)], LongIndexBackend(), RouterConfig(jobs=1), ledger
+        )
+        assert results["took 42 ms"].source == SOURCE_ROLLBACK
+        assert ledger.llm_invocations == 1
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     requests_seen: list = []
@@ -428,14 +455,15 @@ class TestHttpBackend:
             HttpBackend(stub_server, model="m").infer(build_prompt(["x 1"]))
         assert caught.value.retryable is retryable
 
-    def test_rejected_key_rolls_back_without_retry(self, stub_server):
+    def test_rejected_key_rolls_back_without_retry(self, stub_server, monkeypatch):
+        monkeypatch.setattr(llm, "BACKOFF_SECONDS", 10)
         _StubHandler.status = 401
         _StubHandler.reply = {"error": "invalid api key"}
         ledger = CostLedger()
         started = time.monotonic()
         results = process_sparse(
             [sparse_group("weird isolated line", 0)], HttpBackend(stub_server, model="m"),
-            RouterConfig(jobs=1), ledger, backoff_seconds=10,
+            RouterConfig(jobs=1), ledger,
         )
         assert time.monotonic() - started < 1.0
         assert results["weird isolated line"].source == SOURCE_ROLLBACK
@@ -456,7 +484,8 @@ class TestHttpBackend:
             HttpBackend(stub_server, model="m").infer(build_prompt(["x 1"]))
         assert caught.value.retry_after == expected
 
-    def test_retry_after_replaces_backoff(self, stub_server):
+    def test_retry_after_replaces_backoff(self, stub_server, monkeypatch):
+        monkeypatch.setattr(llm, "BACKOFF_SECONDS", 10)
         _StubHandler.script = [(429, {"Retry-After": "1"})]
         _StubHandler.reply = {
             "choices": [{"message": {"content": "1:\t42"}}],
@@ -466,7 +495,7 @@ class TestHttpBackend:
         started = time.monotonic()
         results = process_sparse(
             [sparse_group("took 42 ms", 0)], HttpBackend(stub_server, model="m"),
-            RouterConfig(jobs=1), ledger, backoff_seconds=10,
+            RouterConfig(jobs=1), ledger,
         )
         assert 1.0 <= time.monotonic() - started < 5.0
         assert results["took 42 ms"].source == SOURCE_LLM
@@ -476,14 +505,15 @@ class TestHttpBackend:
         "header", [str(int(MAX_RETRY_AFTER_SECONDS) + 1), "86400", "10000000000", "9" * 5000],
         ids=["just-above-limit", "one-day", "overflows-sleep", "too-long-for-int"],
     )
-    def test_retry_after_above_limit_rolls_back_at_once(self, stub_server, header):
+    def test_retry_after_above_limit_rolls_back_at_once(self, stub_server, monkeypatch, header):
+        monkeypatch.setattr(llm, "BACKOFF_SECONDS", 10)
         _StubHandler.script = [(429, {"Retry-After": header})]
         _StubHandler.reply = {"error": "quota spent"}
         ledger = CostLedger()
         started = time.monotonic()
         results = process_sparse(
             [sparse_group("took 42 ms", 0)], HttpBackend(stub_server, model="m"),
-            RouterConfig(jobs=1), ledger, backoff_seconds=10,
+            RouterConfig(jobs=1), ledger,
         )
         assert time.monotonic() - started < 1.0
         assert results["took 42 ms"].source == SOURCE_ROLLBACK
@@ -534,7 +564,9 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             HttpBackend(stub_server, model="m").infer(build_prompt(["took 42 ms"]))
 
-    def test_null_content_rolls_back_through_process_sparse(self, stub_server):
+    def test_null_content_rolls_back_through_process_sparse(self, stub_server, monkeypatch):
+        monkeypatch.setattr(llm, "MAX_RETRIES", 1)
+        monkeypatch.setattr(llm, "BACKOFF_SECONDS", 0.0)
         _StubHandler.reply = {
             "choices": [{"message": {"content": None}}],
             "usage": {"prompt_tokens": 5, "completion_tokens": 5},
@@ -542,7 +574,7 @@ class TestHttpBackend:
         ledger = CostLedger()
         results = process_sparse(
             [sparse_group("weird isolated line", 0)], HttpBackend(stub_server, model="m"),
-            RouterConfig(jobs=1), ledger, max_retries=1, backoff_seconds=0.0,
+            RouterConfig(jobs=1), ledger,
         )
         assert results["weird isolated line"].source == SOURCE_ROLLBACK
         assert ledger.llm_invocations == 2

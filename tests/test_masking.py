@@ -10,7 +10,6 @@ from celerlog.masking import (
     _TOKEN_CACHE,
     _TOKEN_CACHE_SIZE,
     EmptyMessageError,
-    _parse_mask_rules,
     compile_header_pattern,
     default_mask_rules,
     default_verb_lexicon,
@@ -115,7 +114,7 @@ class TestMaskTokenAgainstOracle:
     @settings(max_examples=2000, deadline=None)
     @given(mask_tokens_strategy)
     def test_equals_naive_mask_token(self, token):
-        assert mask_token(token) == naive_mask_token(token, default_mask_rules())
+        assert mask_token(token) == naive_mask_token(token)
 
     @pytest.mark.parametrize(
         "feature",
@@ -124,7 +123,7 @@ class TestMaskTokenAgainstOracle:
             lambda token: token[-1] in ",:;.!?" and len(token) > 1,
             lambda token: "<NUM>" in token and token != "<NUM>",
             lambda token: "<*>" in token and token != "<*>",
-            lambda token: "<" in token and naive_mask_token(token, default_mask_rules()) != token,
+            lambda token: "<" in token and naive_mask_token(token) != token,
             lambda token: _is_lone_letter(token) and len(token) == 1,
             lambda token: _is_lone_letter(token) and len(token) > 1,
             lambda token: len(token) > 1 and token.isalpha() and token.islower(),
@@ -217,20 +216,9 @@ class TestMaskingProperties:
 
 class TestFixtures:
     def test_default_rules_order(self):
-        assert tuple(rule.name for rule in default_mask_rules()) == (
+        assert tuple(name for name, _ in default_mask_rules()) == (
             "NUM", "CL", "UCL", "BL", "SL",
         )
-
-    def test_valid_table_parses(self):
-        rules = _parse_mask_rules(
-            "# comment\n\nNUM\t\\d+\nCL\t.*=.*\nUCL\t.*\\d.*\nBL\t[A-Z]+\nSL\t[a-z]\n"
-        )
-        assert [rule.name for rule in rules] == ["NUM", "CL", "UCL", "BL", "SL"]
-        assert rules[0].pattern.fullmatch("42")
-
-    def test_bad_rule_name_rejected(self):
-        with pytest.raises(ConfigError):
-            _parse_mask_rules("NOPE\t\\d+\n")
 
     def test_verb_lexicon_is_lowercase_lemmas(self):
         lexicon = default_verb_lexicon()

@@ -4,7 +4,6 @@ import pytest
 
 from celerlog.evaluation import Metrics
 from celerlog.llm import BackendResponse, PromptEnvelope
-from celerlog.masking import default_mask_rules
 from celerlog.model import (
     CostLedger,
     DenseGroup,
@@ -36,9 +35,8 @@ VALUES = [
     RunResult([], Counter(), CostLedger(), _ROUTING, _INGEST),
     MergeState("a <NUM>", {}, 0.5, 1),
     _ROUTING,
-    PromptEnvelope("task", "constraints", "examples", "payload", ("a 1",)),
+    PromptEnvelope("payload", ("a 1",)),
     BackendResponse("1:\t1", 1, 1),
-    default_mask_rules()[0],
     Metrics(1.0, 1.0, 1.0, 1.0),
 ]
 
