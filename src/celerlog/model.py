@@ -80,12 +80,6 @@ class DenseGroup(NamedTuple):
             ids.extend(group.record_ids)
         return ids
 
-    def distinct_contents(self) -> list[str]:
-        seen: set[str] = set()
-        for group in self.member_groups:
-            seen.update(group.members)
-        return sorted(seen)
-
 
 class SparseGroup(NamedTuple):
     """A single unmerged skeleton group bound for the LLM processor."""

@@ -2,12 +2,13 @@
 
 ``run()`` takes the same path at every ``jobs`` value. Routing goes through
 ``routing.route()``, the one routing path. With ``jobs > 1``, at least
-``_PARALLEL_THRESHOLD`` records and a platform that offers the fork start
-method, the record contents are masked in chunks on a fork-context process
-pool and the skeletons passed to ``route()``. On a 2-vCPU machine the pool
-no longer pays (dense-40k ``parse_s_jN`` 1.13 s with it against 1.06 s
-without, README "Notes on parallelism"); it stays for machines with at
-least 4 cores, where the acceptance suite asks ``--jobs 8`` to be faster.
+``_PARALLEL_THRESHOLD`` records, more than one CPU that the process may use
+(``_usable_cpus``) and a platform that offers the fork start method, the
+record contents are masked in chunks on a fork-context process pool and the
+skeletons passed to ``route()``. On a 2-vCPU machine the pool pays:
+dense-40k ``parse_s_jN`` 0.655 s with it against 0.729 s without, lower in
+6/6 alternating pairs (README "Notes on parallelism"). On one usable CPU
+its workers would only take turns, so it is skipped there.
 ``multiprocessing`` and ``concurrent.futures`` load only on that pool path,
 in ``_fork_ready`` and ``_mask_on_pool``.
 
@@ -121,8 +122,11 @@ def ingest(
         if lines[-1] == "":
             lines.pop()
         for line in lines:
-            content = strip_header(line.removesuffix("\r"), compiled)
-            if not content.strip():
+            content = line.removesuffix("\r")
+            if compiled is not None:
+                content = strip_header(content, compiled)
+            # Same as ``not content.strip()``, without the copy.
+            if not content or content.isspace():
                 blank += 1
                 continue
             records.append(LogRecord(len(records), content))
@@ -137,7 +141,7 @@ def ingest(
             column = header.index("Content")
             for row in reader:
                 content = row[column] if column < len(row) else ""
-                if not content.strip():
+                if not content or content.isspace():
                     blank += 1
                     continue
                 records.append(LogRecord(len(records), content))
@@ -158,10 +162,18 @@ def _fork_ready() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, which ``taskset`` and container CPU sets narrow, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _effective_workers(jobs: int) -> int:
-    # CPU-bound pools never benefit from more processes than cores; jobs above
-    # the core count still raise the in-flight limit for network requests.
-    return max(1, min(jobs, os.cpu_count() or 1))
+    # CPU-bound pools never benefit from more processes than usable CPUs; jobs
+    # above that count still raise the in-flight limit for network requests.
+    return max(1, min(jobs, _usable_cpus()))
 
 
 def _mask_chunk(contents: list[str]) -> list[str]:
@@ -225,7 +237,11 @@ def run(
     try:
         records, ingest_stats = ingest(input_path, input_format, header_pattern)
         ledger = CostLedger()
-        if config.jobs > 1 and len(records) >= _PARALLEL_THRESHOLD and _fork_ready():
+        if (
+            len(records) >= _PARALLEL_THRESHOLD
+            and _effective_workers(config.jobs) > 1
+            and _fork_ready()
+        ):
             # The skeletons go straight into route(), so they die when it
             # returns instead of living through extraction and writing.
             dense, sparse, routing_stats = route(
@@ -248,11 +264,11 @@ def run(
             gc.disable()
 
         rows: list[ParsedRecord] = []
-        for record in records:
-            result = by_content.get(record.content)
+        for line_id, content in records:
+            result = by_content.get(content)
             if result is None:
-                raise InternalInvariantError(f"record {record.line_id} missing from routing output")
-            rows.append(ParsedRecord(line_id=record.line_id, content=record.content, result=result))
+                raise InternalInvariantError(f"record {line_id} missing from routing output")
+            rows.append(ParsedRecord(line_id, content, result))
         catalog = Counter(row.result.template for row in rows)
 
         if out_dir is not None:
@@ -339,16 +355,15 @@ def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord]) -> None:
     quoted = csv.writer(lines, lineterminator="\n")
     quoted.writerow(["LineId", "Content", "EventTemplate", "Parameters"])
     plain_templates: dict[str, bool] = {}
-    for row in rows:
-        template = row.result.template
+    for line_id, content, (template, values, _) in rows:
         plain = plain_templates.get(template)
         if plain is None:
             plain = plain_templates[template] = _is_plain(template)
-        parameters = escape_parameters(row.result.parameters)
-        if plain and _is_plain(row.content) and _is_plain(parameters):
-            lines.append(f"{row.line_id},{row.content},{template},{parameters}\n")
+        parameters = escape_parameters(values)
+        if plain and _is_plain(content) and _is_plain(parameters):
+            lines.append(f"{line_id},{content},{template},{parameters}\n")
         else:
-            quoted.writerow([row.line_id, row.content, template, parameters])
+            quoted.writerow([line_id, content, template, parameters])
         if len(lines) >= _ROWS_PER_WRITE:
             handle.write("".join(lines))
             lines.clear()

@@ -9,6 +9,8 @@ that masking would change is left constant.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .model import (
@@ -67,15 +69,18 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
     - any other key token is the raw token of every message, so it is constant.
 
     Adjacent parameter positions form one parameter (``collapse``). Each
-    distinct message is split once, to read its parameters. Masking is token
-    for token and a bucket holds one key length, so every message of a group
-    has the same token count; a group that breaks this raises
-    ``InternalInvariantError``.
+    distinct message is split once, and its parameters are read by column:
+    when every parameter covers one token, one ``operator.itemgetter`` call
+    per message reads them all, and a multi-token parameter is the join of
+    its span. Masking is token for token and a bucket holds one key length,
+    so every message of a group has the same token count; a group that
+    breaks this raises ``InternalInvariantError``. The returned dict is in
+    no particular order.
     """
     keys = [member.key_tokens for member in group.member_groups]
     first = keys[0]
     length = len(first)
-    contents = group.distinct_contents()
+    contents = list(set().union(*[member.members for member in group.member_groups]))
     token_lists = [content.split() for content in contents]
     if any(len(key) != length for key in keys) or any(
         len(tokens) != length for tokens in token_lists
@@ -93,14 +98,22 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
     ]
     template, spans = collapse(first, variable)
 
-    results: dict[str, TemplateResult] = {}
-    for content, tokens in zip(contents, token_lists):
-        results[content] = TemplateResult(
-            template=template,
-            parameters=tuple([" ".join(tokens[start:end]) for start, end in spans]),
-            source=SOURCE_STATISTICAL,
-        )
-    return results
+    if any(end - start > 1 for start, end in spans):
+        parameters = [
+            tuple([" ".join(tokens[start:end]) for start, end in spans])
+            for tokens in token_lists
+        ]
+    elif len(spans) > 1:
+        parameters = map(itemgetter(*[start for start, _ in spans]), token_lists)
+    elif spans:
+        position = spans[0][0]
+        parameters = [(tokens[position],) for tokens in token_lists]
+    else:
+        parameters = repeat(())
+    return {
+        content: TemplateResult(template, params, SOURCE_STATISTICAL)
+        for content, params in zip(contents, parameters)
+    }
 
 
 def finalize(result: TemplateResult, tokens: tuple[str, ...]) -> TemplateResult:

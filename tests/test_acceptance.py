@@ -5,7 +5,6 @@ pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``.
 import csv
 import json
 import multiprocessing
-import os
 import random
 import threading
 import time
@@ -26,7 +25,7 @@ from celerlog.model import (
     DenseGroup,
     LogRecord,
 )
-from celerlog.pipeline import unescape_parameters
+from celerlog.pipeline import _usable_cpus, unescape_parameters
 from celerlog.routing import bucket_by_length, group_by_skeleton, merge_bucket, route
 from celerlog.statistical import extract_template
 from corpus import fig4_lines, fig5_lines, make_dissimilar_corpus, make_template_corpus
@@ -312,17 +311,17 @@ def test_c08_parallel_runs_are_byte_identical_and_faster(corpus_100k, tmp_path):
                 tmp_path / "out-jobs8" / name
             ).read_bytes(), f"{name} differs between jobs=1 and jobs=8"
 
-        cores = os.cpu_count() or 1
+        cores = _usable_cpus()
         fork = multiprocessing.get_start_method() == "fork"
         ratio = elapsed[8] / elapsed[1]
         print(
             f"  jobs=1 {elapsed[1]:.2f}s, jobs=8 {elapsed[8]:.2f}s, "
-            f"ratio {ratio:.2f} on {cores} cores"
+            f"ratio {ratio:.2f} on {cores} usable CPUs"
         )
         if cores >= 4 and fork:
             assert ratio <= 0.75, f"jobs=8 must be at most 0.75x of jobs=1, got {ratio:.2f}"
         else:
-            print(f"  timing clause needs >=4 cores with fork (have {cores}); not measured")
+            print(f"  timing clause needs >=4 usable CPUs with fork (have {cores}); not measured")
 
 
 def test_c09_throughput_100k_lines_under_30s(corpus_100k, tmp_path):

@@ -264,6 +264,26 @@ class TestRun:
                 tmp_path / "out2" / name
             ).read_bytes()
 
+    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @pytest.mark.parametrize("cpus, pooled", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "two-cpus"])
+    def test_pool_only_with_more_than_one_usable_cpu(self, tmp_path, monkeypatch, cpus, pooled):
+        # A process pinned to one CPU (taskset, a container's CPU set) gains
+        # nothing from forking, whatever jobs asks for.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        assert len(lines) >= pipeline._PARALLEL_THRESHOLD
+        path = write_lines(tmp_path / "in.log", lines)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        calls = []
+        mask_on_pool = pipeline._mask_on_pool
+
+        def recorded(*args):
+            calls.append(args)
+            return mask_on_pool(*args)
+
+        monkeypatch.setattr(pipeline, "_mask_on_pool", recorded)
+        run(path, RouterConfig(jobs=4), MockBackend())
+        assert len(calls) == pooled
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_backend_error_fails_run_without_output(self, tmp_path, jobs):
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
@@ -423,6 +443,7 @@ class TestRun:
             celerlog.no_such_name
 
     @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to take the pool")
     def test_pool_run_imports_multiprocessing_itself(self, tmp_path):
         # A fresh interpreter that has never imported multiprocessing: the
         # jobs=2 run must import it, take the pool and write the jobs=1 bytes.

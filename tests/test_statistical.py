@@ -179,6 +179,18 @@ def _adjacent_variable_positions(lines):
     return any(a and b for a, b in zip(variable, variable[1:]))
 
 
+def _parameter_widths(lines):
+    """The token count of each parameter of the merged group's template."""
+    _, _, variable = _naive_variable_flags(lines)
+    widths = []
+    for position, flag in enumerate(variable):
+        if flag and position and variable[position - 1]:
+            widths[-1] += 1
+        elif flag:
+            widths.append(1)
+    return widths
+
+
 def _parameter_equals_next_constant(lines):
     """Some message holds, at a parameter position, the constant that ends its run."""
     naive, template, variable = _naive_variable_flags(lines)
@@ -235,11 +247,15 @@ class TestExtractTemplateAgainstOracle:
             lambda lines: any("\t" in line for line in lines) and any("  " in line for line in lines),
             _adjacent_variable_positions,
             _parameter_equals_next_constant,
+            lambda lines: _parameter_widths(lines) == [],
+            lambda lines: _parameter_widths(lines) == [1],
+            lambda lines: len(_parameter_widths(lines)) > 1 and set(_parameter_widths(lines)) == {1},
         ],
         ids=["paren-number-kept", "number-comma-kept", "bracket-hex-kept",
              "paren-number-varies", "literal-placeholder", "literal-designated-token",
              "merged-keys-differ", "one-message", "tab-and-space-runs",
-             "adjacent-variables", "parameter-equals-next-constant"],
+             "adjacent-variables", "parameter-equals-next-constant",
+             "no-parameter", "one-parameter", "single-token-parameters"],
     )
     def test_generator_covers(self, feature):
         find(
