@@ -129,6 +129,11 @@ def parse_response(raw: str, messages: Sequence[str]) -> list[list[str]]:
     return [found[index] for index in sorted(expected)]
 
 
+def _rollback(content: str) -> TemplateResult:
+    """The raw message as its own template."""
+    return TemplateResult(template=content, parameters=(), source=SOURCE_ROLLBACK)
+
+
 def validate_and_mask(content: str, variables: Sequence[str]) -> TemplateResult:
     """Mask validated variable substrings; fall back to the raw message.
 
@@ -143,7 +148,7 @@ def validate_and_mask(content: str, variables: Sequence[str]) -> TemplateResult:
     """
     survivors = [variable for variable in variables if variable and variable in content]
     if not survivors:
-        return TemplateResult(template=content, parameters=(), source=SOURCE_ROLLBACK)
+        return _rollback(content)
 
     covered = bytearray(len(content))
     for variable in sorted(dict.fromkeys(survivors), key=len, reverse=True):
@@ -167,7 +172,7 @@ def validate_and_mask(content: str, variables: Sequence[str]) -> TemplateResult:
         tokens.append(token)
         variable_flags.append(any(covered[match.start() : match.end()]) or PLACEHOLDER in token)
     if not any(variable_flags):
-        return TemplateResult(template=content, parameters=(), source=SOURCE_ROLLBACK)
+        return _rollback(content)
     template, spans = collapse(
         tokens,
         [flag or mask_token(token) != token for flag, token in zip(variable_flags, tokens)],
@@ -300,36 +305,26 @@ def process_sparse(
 
     One representative per distinct content is queried (a sparse group
     normally holds exactly one). Requests go out in batches of the configured
-    size with up to ``config.jobs`` in flight. A retryable transport failure
-    is retried up to ``MAX_RETRIES`` times, after the wait the server asked
-    for or else after ``BACKOFF_SECONDS``, doubled on each retry. A terminal
-    transport failure, a requested wait above ``MAX_RETRY_AFTER_SECONDS``,
-    exhausted retries and malformed replies all degrade to rollbacks, never
-    to exceptions. Every attempt counts as an invocation. Any other exception
-    the backend raises propagates, and no batch is sent after it.
+    size with up to ``config.jobs`` in flight, fewer where a thread cannot be
+    started. The mapping is the same at every ``jobs`` value; only its
+    insertion order varies. A retryable transport failure is retried up to
+    ``MAX_RETRIES`` times, after the wait the server asked for or else after
+    ``BACKOFF_SECONDS``, doubled on each retry. A terminal transport failure,
+    a requested wait above ``MAX_RETRY_AFTER_SECONDS``, exhausted retries and
+    malformed replies all degrade to rollbacks, never to exceptions. Every
+    attempt counts as an invocation. Any other exception the backend raises
+    propagates once every loop has stopped, and no batch is sent after it; of
+    several, the first raised is the one that propagates.
     """
     contents: list[str] = []
     for item in sorted(groups, key=lambda s: s.group.key):
         contents.extend(sorted(item.group.members))
-    if not contents:
-        return {}
-
-    batches = [
-        contents[start : start + config.llm_batch_size]
-        for start in range(0, len(contents), config.llm_batch_size)
-    ]
-
-    def rollback_all(batch: list[str]) -> dict[str, TemplateResult]:
-        return {
-            content: TemplateResult(template=content, parameters=(), source=SOURCE_ROLLBACK)
-            for content in batch
-        }
+    size = config.llm_batch_size
+    batches = [contents[start : start + size] for start in range(0, len(contents), size)]
 
     def handle(batch: list[str]) -> dict[str, TemplateResult]:
         envelope = build_prompt(batch)
-        attempts = 0
-        while True:
-            attempts += 1
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 response = backend.infer(envelope)
             except TransportError as exc:
@@ -337,11 +332,11 @@ def process_sparse(
                 asked = exc.retry_after
                 if (
                     not exc.retryable
-                    or attempts > MAX_RETRIES
+                    or attempt == MAX_RETRIES
                     or (asked is not None and asked > MAX_RETRY_AFTER_SECONDS)
                 ):
-                    return rollback_all(batch)
-                time.sleep(BACKOFF_SECONDS * (2 ** (attempts - 1)) if asked is None else asked)
+                    break
+                time.sleep(BACKOFF_SECONDS * 2**attempt if asked is None else asked)
                 continue
             ledger.add_llm_usage(
                 response.prompt_tokens + response.completion_tokens, invocations=1
@@ -349,49 +344,50 @@ def process_sparse(
             try:
                 variable_lists = parse_response(response.text, batch)
             except FormatError:
-                return rollback_all(batch)
+                break
             return {
                 content: validate_and_mask(content, variables)
                 for content, variables in zip(batch, variable_lists)
             }
+        return {content: _rollback(content) for content in batch}
 
-    # A few loops drawing batch indices cost less than a future per batch (1,502
-    # one-message batches, mock backend: 0.03-0.05 s against 0.06-0.08 s with
-    # executor.map). The caller runs loop 0, so jobs=1 starts no thread.
-    outcomes: list[dict[str, TemplateResult]] = [{}] * len(batches)
-    indices = iter(range(len(batches)))
+    # A few loops drawing batches from one iterator cost less than a future
+    # per batch (1,502 one-message batches, mock backend: 0.03-0.05 s against
+    # 0.06-0.08 s with executor.map). The caller runs one loop itself, so
+    # jobs=1 starts no thread. Once a batch has raised, no loop draws another.
+    pending = iter(batches)
+    results: dict[str, TemplateResult] = {}
+    errors: list[BaseException] = []
     lock = threading.Lock()
-    # Set when a batch raises; no loop draws a batch after that.
-    failed = threading.Event()
-    workers = min(config.jobs, len(batches))
-    errors: list[BaseException | None] = [None] * workers
 
-    def work(loop: int) -> None:
+    def work() -> None:
         try:
-            while not failed.is_set():
+            while not errors:
                 with lock:
-                    index = next(indices, None)
-                if index is None:
+                    batch = next(pending, None)
+                if batch is None:
                     return
-                outcomes[index] = handle(batches[index])
+                outcome = handle(batch)
+                with lock:
+                    results.update(outcome)
         except BaseException as exc:
-            errors[loop] = exc
-            failed.set()
+            errors.append(exc)
 
     threads: list[threading.Thread] = []
     try:
-        for loop in range(1, workers):
-            thread = threading.Thread(target=work, args=(loop,))
-            thread.start()
+        for _ in range(min(config.jobs, len(batches)) - 1):
+            thread = threading.Thread(target=work)
+            try:
+                thread.start()
+            except RuntimeError:
+                # Out of threads or processes: the loops already running, the
+                # caller's included, send the remaining batches.
+                break
             threads.append(thread)
-        work(0)
+        work()
     finally:
         for thread in threads:
             thread.join()
-    for error in filter(None, errors):
-        raise error
-
-    results: dict[str, TemplateResult] = {}
-    for outcome in outcomes:
-        results.update(outcome)
+    if errors:
+        raise errors[0]
     return results

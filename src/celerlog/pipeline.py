@@ -4,8 +4,9 @@
 ``routing.route()``, the one routing path. With ``jobs > 1``, at least
 ``_PARALLEL_THRESHOLD`` records, more than one CPU that the process may use
 (``_usable_cpus``) and a platform that offers the fork start method, the
-record contents are masked in chunks on a fork-context process pool and the
-skeletons passed to ``route()``. On a 2-vCPU machine the pool pays:
+record contents are masked on a fork-context process pool, through
+``Executor.map`` in about four chunks per worker, and the skeletons passed
+to ``route()`` in record order. On a 2-vCPU machine the pool pays:
 dense-40k ``parse_s_jN`` 0.655 s with it against 0.729 s without, lower in
 6/6 alternating pairs (README "Notes on parallelism"). On one usable CPU
 its workers would only take turns, so it is skipped there.
@@ -16,9 +17,9 @@ The phases run in order on the calling thread: every dense group is
 extracted, then ``llm.process_sparse`` sends the sparse groups to the
 backend. Neither side reads the other's results, so the order cannot change
 the output, and a dense-side error raises before any LLM request is sent.
-Threads start only inside ``process_sparse``, and none at ``jobs=1``.
-Aggregation follows a fixed order, so output bytes never depend on the
-worker count.
+Threads start only inside ``process_sparse``, none at ``jobs=1``, and all
+are joined before it returns or raises. Rows are built in record order by
+looking up each content, so output bytes never depend on the worker count.
 
 The cyclic garbage collector is off while ``run()`` computes, from ingest
 through writing: those phases allocate millions of objects that hold no
@@ -176,39 +177,37 @@ def _effective_workers(jobs: int) -> int:
     return max(1, min(jobs, _usable_cpus()))
 
 
-def _mask_chunk(contents: list[str]) -> list[str]:
-    return [mask_message(content)[0] for content in contents]
+def _skeleton(content: str) -> str:
+    return mask_message(content)[0]
 
 
 def _mask_on_pool(records: Sequence[LogRecord], jobs: int) -> list[str]:
-    """Mask record contents in chunks on a fork-context process pool.
+    """Mask record contents on a fork-context process pool.
 
-    Skeletons come back in record order, independent of completion order. The
-    first failed chunk cancels the chunks not yet started and raises at once,
-    without waiting for the running ones.
+    ``Executor.map`` sends the contents in about four chunks per worker and
+    yields the skeletons in record order, independent of completion order.
+    The first failed chunk in record order raises at once, cancelling the
+    chunks not yet started and without waiting for the running ones.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     workers = _effective_workers(jobs)
     contents = [record.content for record in records]
-    size = max(1, -(-len(contents) // (workers * 4)))
+    chunksize = max(1, -(-len(contents) // (workers * 4)))
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=gc.disable,
     )
     try:
-        futures = [
-            pool.submit(_mask_chunk, contents[start : start + size])
-            for start in range(0, len(contents), size)
-        ]
-        skeletons: list[str] = []
-        for future in futures:
-            try:
-                skeletons.extend(future.result())
-            except Exception as exc:
-                raise InternalInvariantError(f"masking worker failed: {exc}") from exc
+        # Every chunk is submitted here, so the OSError of a failed fork
+        # passes through unwrapped.
+        mapped = pool.map(_skeleton, contents, chunksize=chunksize)
+        try:
+            skeletons = list(mapped)
+        except Exception as exc:
+            raise InternalInvariantError(f"masking worker failed: {exc}") from exc
     except BaseException:
         # A context manager would wait here for every submitted chunk.
         pool.shutdown(wait=False, cancel_futures=True)

@@ -161,12 +161,6 @@ def merge_bucket(
         for slot in enumerate(group.key_tokens):
             postings.setdefault(slot, []).append(index)
     double_length = 2 * bucket.length
-    verb_cache: dict[int, set[str]] = {}
-
-    def verbs_of(index: int) -> set[str]:
-        if index not in verb_cache:
-            verb_cache[index] = extract_verbs(ordered[index].key)
-        return verb_cache[index]
 
     # Indices into ``ordered`` of the groups not merged yet; the next anchor
     # is always the lowest of them.
@@ -184,8 +178,8 @@ def merge_bucket(
         # Candidates missing from ``scores`` score 0, below every grid point.
         tau = select_threshold(sorted(scores.values()), len(alive) - len(scores), config)
         hits = sorted(i for i, s in scores.items() if s >= tau)
-        anchor_verbs = verbs_of(anchor)
-        matched = [anchor] + [index for index in hits if anchor_verbs <= verbs_of(index)]
+        anchor_verbs = extract_verbs(ordered[anchor].key)
+        matched = [anchor] + [i for i in hits if anchor_verbs <= extract_verbs(ordered[i].key)]
         dense.append(
             DenseGroup(
                 member_groups=tuple(ordered[index] for index in matched),

@@ -4,7 +4,6 @@ pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import csv
 import json
-import multiprocessing
 import random
 import threading
 import time
@@ -25,7 +24,7 @@ from celerlog.model import (
     DenseGroup,
     LogRecord,
 )
-from celerlog.pipeline import _usable_cpus, unescape_parameters
+from celerlog.pipeline import _fork_ready, _usable_cpus, unescape_parameters
 from celerlog.routing import bucket_by_length, group_by_skeleton, merge_bucket, route
 from celerlog.statistical import extract_template
 from corpus import fig4_lines, fig5_lines, make_dissimilar_corpus, make_template_corpus
@@ -312,7 +311,9 @@ def test_c08_parallel_runs_are_byte_identical_and_faster(corpus_100k, tmp_path):
             ).read_bytes(), f"{name} differs between jobs=1 and jobs=8"
 
         cores = _usable_cpus()
-        fork = multiprocessing.get_start_method() == "fork"
+        # run() pools with an explicit fork context, whatever the default start
+        # method; asking for that default would also fix it for this process.
+        fork = _fork_ready()
         ratio = elapsed[8] / elapsed[1]
         print(
             f"  jobs=1 {elapsed[1]:.2f}s, jobs=8 {elapsed[8]:.2f}s, "

@@ -368,6 +368,28 @@ class TestProcessSparse:
         assert any(first in batch for batch in backend.batches)
         assert len(backend.batches) <= 3
 
+    def test_loops_that_cannot_start_leave_the_batches_to_the_others(self, monkeypatch):
+        # The second start fails as it would at a thread or pid limit; the
+        # caller's loop and the one started thread send every batch.
+        groups = [sparse_group(f"event kind{i} on host{i} now", i) for i in range(20)]
+        config = RouterConfig(jobs=4, llm_batch_size=1)
+        serial_ledger = CostLedger()
+        serial = process_sparse(groups, MockBackend(), config._replace(jobs=1), serial_ledger)
+        start = threading.Thread.start
+        starts = []
+
+        def start_once(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        ledger = CostLedger()
+        assert process_sparse(groups, MockBackend(), config, ledger) == serial
+        assert len(starts) == 2
+        assert ledger.llm_invocations == serial_ledger.llm_invocations == 20
+
     def test_index_too_long_for_int_rolls_back(self):
         class LongIndexBackend:
             def infer(self, envelope):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import celerlog
 from celerlog import llm, pipeline, statistical
 from celerlog.llm import BackendResponse, MockBackend
+from celerlog.masking import mask_message
 from celerlog.model import (
     SOURCE_LLM,
     SOURCE_ROLLBACK,
@@ -149,28 +150,38 @@ class TestIngest:
         assert peak < 3.0 * path.stat().st_size
 
 
-def _fail_marked_chunk(release, contents):
-    """Fail the chunk holding the marker at once; hold every other one until released."""
-    if "marker record" in contents:
-        raise ValueError("marked chunk failed")
+def _fail_marked_record(release, content):
+    """Fail the marker record at once; hold every other one until released."""
+    if content == "marker record":
+        raise ValueError("marked record failed")
     deadline = time.monotonic() + 3.0
     while not release.exists() and time.monotonic() < deadline:
         time.sleep(0.01)
-    return contents
+    return content
 
 
 class TestMaskOnPool:
     @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @pytest.mark.parametrize("count", [1, 7, 2501])
+    def test_skeletons_match_serial_masking(self, count):
+        # Neither four nor eight chunks, four per worker, divide these counts evenly.
+        lines, _ = make_template_corpus(n_lines=2501, n_templates=15, n_oneoffs=50, seed=21)
+        records = [LogRecord(index, line) for index, line in enumerate(lines[:count])]
+        assert pipeline._mask_on_pool(records, 2) == [
+            mask_message(record.content)[0] for record in records
+        ]
+
+    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
     def test_first_failure_raises_without_waiting(self, tmp_path, monkeypatch):
-        # Every chunk but the marked one holds for up to 3 s, so waiting for
+        # Every record but the marked one holds for up to 3 s, so waiting for
         # the submitted chunks would take several seconds.
         release = tmp_path / "release"
-        monkeypatch.setattr(pipeline, "_mask_chunk", partial(_fail_marked_chunk, release))
+        monkeypatch.setattr(pipeline, "_skeleton", partial(_fail_marked_record, release))
         contents = ["marker record"] + [f"event {i} done" for i in range(63)]
         records = [LogRecord(index, content) for index, content in enumerate(contents)]
         started = time.monotonic()
         try:
-            with pytest.raises(InternalInvariantError, match="masking worker failed: marked chunk"):
+            with pytest.raises(InternalInvariantError, match="masking worker failed: marked record"):
                 pipeline._mask_on_pool(records, 2)
             assert time.monotonic() - started < 2.0
         finally:
