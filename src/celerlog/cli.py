@@ -65,7 +65,6 @@ def _run_parse(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         llm_batch_size=args.batch_size,
     )
-    config.validate()
     if args.backend == "http":
         backend = HttpBackend(
             endpoint=args.endpoint or "",

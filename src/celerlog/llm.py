@@ -289,9 +289,10 @@ def _token_count(usage: dict, name: str) -> int:
     count = usage.get(name)
     if count is None:
         return 0
-    # bool is an int subclass, but true is no token count.
-    if type(count) is not int:
-        raise TransportError(f"usage {name} is not an integer: {count!r}")
+    # bool is an int subclass, but true is no token count; a negative count
+    # would lower the ledger.
+    if type(count) is not int or count < 0:
+        raise TransportError(f"usage {name} is not a non-negative integer: {count!r}")
     return count
 
 
@@ -328,7 +329,7 @@ def process_sparse(
             try:
                 response = backend.infer(envelope)
             except TransportError as exc:
-                ledger.add_llm_usage(0, invocations=1)
+                ledger.add_llm_usage(0)
                 asked = exc.retry_after
                 if (
                     not exc.retryable
@@ -338,9 +339,7 @@ def process_sparse(
                     break
                 time.sleep(BACKOFF_SECONDS * 2**attempt if asked is None else asked)
                 continue
-            ledger.add_llm_usage(
-                response.prompt_tokens + response.completion_tokens, invocations=1
-            )
+            ledger.add_llm_usage(response.prompt_tokens + response.completion_tokens)
             try:
                 variable_lists = parse_response(response.text, batch)
             except FormatError:

@@ -12,9 +12,7 @@ import re
 from functools import lru_cache
 from importlib import resources
 
-from .model import MASK_TOKENS, PLACEHOLDER, CelerlogError, ConfigError
-
-_MASK_TOKEN_SET = frozenset(MASK_TOKENS) | {PLACEHOLDER}
+from .model import PLACEHOLDER, CelerlogError, ConfigError
 
 _OPEN_BRACKETS = "([<"
 _CLOSE_BRACKETS = ")]>"
@@ -34,6 +32,12 @@ _MASK_RULES = (
     ("BL", r"[A-Z]{2,5}"),
     ("SL", r"[/\\=:.\-_]*[A-Za-z][/\\=:.\-_]*"),
 )
+
+#: Designated tokens produced by the masking rules, in rule order.
+MASK_TOKENS = tuple(f"<{name}>" for name, _ in _MASK_RULES)
+
+#: The designated tokens and the final-template placeholder ``<*>``.
+MASK_TOKEN_SET = frozenset(MASK_TOKENS) | {PLACEHOLDER}
 
 #: Entries kept by the per-token caches. Most distinct tokens of a corpus are
 #: values seen once, so an unbounded cache grows with the corpus; the words
@@ -65,14 +69,12 @@ def compile_header_pattern(pattern: str) -> re.Pattern:
     return compiled
 
 
-def strip_header(raw_line: str, header_pattern: re.Pattern | None = None) -> str:
+def strip_header(raw_line: str, header_pattern: re.Pattern) -> str:
     """Return the message body of a raw line.
 
-    With no pattern, or when the pattern does not match, the whole line is the
-    body; a nonempty line therefore never strips down to nothing by accident.
+    When the pattern does not match, the whole line is the body; a nonempty
+    line therefore never strips down to nothing by accident.
     """
-    if header_pattern is None:
-        return raw_line
     match = header_pattern.match(raw_line)
     if match is None or match.group("content") is None:
         return raw_line
@@ -99,7 +101,7 @@ def _mask_uncached(token: str) -> str:
         return token
     # Every designated token holds "<"; the cheap test spares most tokens the
     # six substring scans.
-    if "<" in token and any(mask in token for mask in _MASK_TOKEN_SET):
+    if "<" in token and any(mask in token for mask in MASK_TOKEN_SET):
         # Already carries a designated token; re-masking must be a no-op.
         return token
     # Peel leading brackets, then trailing brackets and sentence punctuation.
@@ -195,7 +197,7 @@ def extract_verbs(key: str) -> set[str]:
     """
     verbs: set[str] = set()
     for token in key.split():
-        if token in _MASK_TOKEN_SET:
+        if token in MASK_TOKEN_SET:
             continue
         word = token.strip("()[]<>{}\"'`,.:;!?").lower()
         if not word or not word.isalpha():

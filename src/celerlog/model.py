@@ -5,8 +5,8 @@ The value types here, and those in ``pipeline``, ``routing``, ``llm``,
 with no ``__dict__``, so assigning any attribute raises ``AttributeError``.
 They are also tuples: an instance compares equal to the plain tuple of its
 fields, iterates over its fields and has a ``len()``. Tuples keep both
-building an instance and importing the package cheap (README "Memory and
-start-up").
+building an instance and importing the package cheap (README "Performance
+notes").
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from typing import NamedTuple
 
 #: Placeholder written into final templates for every parameter position.
 PLACEHOLDER = "<*>"
-
-#: Designated tokens produced by the masking rules, in rule order.
-MASK_TOKENS = ("<NUM>", "<CL>", "<UCL>", "<BL>", "<SL>")
 
 SOURCE_STATISTICAL = "statistical"
 SOURCE_LLM = "llm"
@@ -145,10 +142,11 @@ class CostLedger:
         self.dense_record_count: int = 0
         self.sparse_record_count: int = 0
 
-    def add_llm_usage(self, tokens: int, invocations: int = 1) -> None:
+    def add_llm_usage(self, tokens: int) -> None:
+        """Count one backend call that consumed ``tokens``."""
         with self._lock:
             self.tokens_consumed += tokens
-            self.llm_invocations += invocations
+            self.llm_invocations += 1
 
     def add_routing_counts(self, dense_records: int, sparse_records: int) -> None:
         with self._lock:

@@ -1,17 +1,14 @@
 """End-to-end orchestration: ingest, route, process, write outputs.
 
 ``run()`` takes the same path at every ``jobs`` value. Routing goes through
-``routing.route()``, the one routing path. With ``jobs > 1``, at least
-``_PARALLEL_THRESHOLD`` records, more than one CPU that the process may use
-(``_usable_cpus``) and a platform that offers the fork start method, the
-record contents are masked on a fork-context process pool, through
-``Executor.map`` in about four chunks per worker, and the skeletons passed
-to ``route()`` in record order. On a 2-vCPU machine the pool pays:
-dense-40k ``parse_s_jN`` 0.655 s with it against 0.729 s without, lower in
-6/6 alternating pairs (README "Notes on parallelism"). On one usable CPU
-its workers would only take turns, so it is skipped there.
-``multiprocessing`` and ``concurrent.futures`` load only on that pool path,
-in ``_fork_ready`` and ``_mask_on_pool``.
+``routing.route()``, the one routing path. When ``_pool_workers`` allows
+more than one worker, the record contents are masked on a fork-context
+process pool (``_mask_on_pool``) and the skeletons passed to ``route()`` in
+record order; otherwise ``route()`` masks them in process. On a 2-vCPU
+machine the pool pays: dense-40k ``parse_s_jN`` 0.655 s with it against
+0.729 s without, lower in 6/6 alternating pairs. ``multiprocessing`` and
+``concurrent.futures`` load only on that pool path, in ``_fork_ready`` and
+``_mask_on_pool``.
 
 The phases run in order on the calling thread: every dense group is
 extracted, then ``llm.process_sparse`` sends the sparse groups to the
@@ -27,7 +24,9 @@ cycles, and each collection traverses the live ones. On dense-40k the
 collector took about a tenth of a run, in 340 collections. When the caller
 had it on, it comes back on only around the ``process_sparse`` call, which
 mostly waits, so a long HTTP run still collects; ``run()`` restores the
-caller's setting however it exits.
+caller's setting however it exits. The pool's workers are forked while it is
+off, and a forked process inherits the collector state, so they mask with it
+off too.
 """
 
 from __future__ import annotations
@@ -171,35 +170,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _effective_workers(jobs: int) -> int:
-    # CPU-bound pools never benefit from more processes than usable CPUs; jobs
-    # above that count still raise the in-flight limit for network requests.
-    return max(1, min(jobs, _usable_cpus()))
+def _pool_workers(count: int, jobs: int) -> int:
+    """How many processes mask ``count`` records; 1 means in process.
+
+    The pool is taken with ``jobs > 1``, at least ``_PARALLEL_THRESHOLD``
+    records, more than one usable CPU and the fork start method. It never has
+    more workers than usable CPUs, which would only take turns. ``_fork_ready``
+    is asked last, so a ``jobs=1`` run never imports ``multiprocessing``.
+    """
+    workers = min(jobs, _usable_cpus())
+    if count >= _PARALLEL_THRESHOLD and workers > 1 and _fork_ready():
+        return workers
+    return 1
 
 
 def _skeleton(content: str) -> str:
     return mask_message(content)[0]
 
 
-def _mask_on_pool(records: Sequence[LogRecord], jobs: int) -> list[str]:
-    """Mask record contents on a fork-context process pool.
+def _mask_on_pool(records: Sequence[LogRecord], workers: int) -> list[str]:
+    """Mask record contents on a fork-context pool of ``workers`` processes.
 
-    ``Executor.map`` sends the contents in about four chunks per worker and
-    yields the skeletons in record order, independent of completion order.
-    The first failed chunk in record order raises at once, cancelling the
-    chunks not yet started and without waiting for the running ones.
+    ``workers`` comes from ``_pool_workers``. They are forked from ``run()``
+    with the cyclic collector off, and inherit that state. ``Executor.map``
+    sends the contents in about four chunks per worker and yields the
+    skeletons in record order, independent of completion order. The first
+    failed chunk in record order raises at once, cancelling the chunks not
+    yet started and without waiting for the running ones.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = _effective_workers(jobs)
     contents = [record.content for record in records]
     chunksize = max(1, -(-len(contents) // (workers * 4)))
-    pool = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=gc.disable,
-    )
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         # Every chunk is submitted here, so the OSError of a failed fork
         # passes through unwrapped.
@@ -236,18 +240,12 @@ def run(
     try:
         records, ingest_stats = ingest(input_path, input_format, header_pattern)
         ledger = CostLedger()
-        if (
-            len(records) >= _PARALLEL_THRESHOLD
-            and _effective_workers(config.jobs) > 1
-            and _fork_ready()
-        ):
-            # The skeletons go straight into route(), so they die when it
-            # returns instead of living through extraction and writing.
-            dense, sparse, routing_stats = route(
-                records, config, _mask_on_pool(records, config.jobs)
-            )
-        else:
-            dense, sparse, routing_stats = route(records, config)
+        workers = _pool_workers(len(records), config.jobs)
+        # The skeletons go straight into route(), so they die when it returns
+        # instead of living through extraction and writing.
+        dense, sparse, routing_stats = route(
+            records, config, _mask_on_pool(records, workers) if workers > 1 else None
+        )
         ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
         by_content: dict[str, TemplateResult] = {}

@@ -13,16 +13,14 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Sequence
 
+from .masking import MASK_TOKEN_SET
 from .model import (
-    MASK_TOKENS,
     PLACEHOLDER,
     SOURCE_STATISTICAL,
     DenseGroup,
     InternalInvariantError,
     TemplateResult,
 )
-
-_MASK_TOKEN_SET = frozenset(MASK_TOKENS)
 
 
 def collapse(
@@ -90,7 +88,7 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
         )
 
     variable = [
-        token in _MASK_TOKEN_SET
+        token in MASK_TOKEN_SET
         or PLACEHOLDER in token
         or any(key[position] != token for key in keys)
         or ("<" in token and any(tokens[position] != token for tokens in token_lists))

@@ -577,7 +577,7 @@ class TestHttpBackend:
         response = HttpBackend(stub_server, model="m").infer(build_prompt(["took 42 ms"]))
         assert response.prompt_tokens == 0 and response.completion_tokens == 0
 
-    @pytest.mark.parametrize("count", ["12", 1.5, True, [3]])
+    @pytest.mark.parametrize("count", ["12", 1.5, True, [3], -1])
     def test_non_integer_token_count_is_transport_error(self, stub_server, count):
         _StubHandler.reply = {
             "choices": [{"message": {"content": "1:\t42"}}],

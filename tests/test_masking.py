@@ -33,9 +33,6 @@ class TestStripHeader:
         pattern = compile_header_pattern(ZK_HEADER)
         assert strip_header(line, pattern) == "Reading configuration from: /etc/zoo.cfg"
 
-    def test_no_pattern_is_identity(self):
-        assert strip_header("hello world") == "hello world"
-
     def test_non_matching_pattern_falls_through(self):
         pattern = compile_header_pattern(r"^\[(?P<content>never)\]$")
         assert strip_header("no-match line", pattern) == "no-match line"

@@ -160,6 +160,35 @@ def _fail_marked_record(release, content):
     return content
 
 
+def _skeleton_collector_off(content):
+    """``pipeline._skeleton``, for a worker that must mask with the collector off."""
+    if gc.isenabled():
+        raise RuntimeError("masking worker has the cyclic collector on")
+    return mask_message(content)[0]
+
+
+def _fork_not_asked():
+    raise AssertionError("_fork_ready was asked")
+
+
+class TestPoolWorkers:
+    @pytest.mark.parametrize(
+        "count, jobs, cpus, fork_ready, workers",
+        [
+            (pipeline._PARALLEL_THRESHOLD - 1, 8, {0, 1}, _fork_not_asked, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0}, _fork_not_asked, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, lambda: False, 1),
+            (pipeline._PARALLEL_THRESHOLD, 1, {0, 1}, _fork_not_asked, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, lambda: True, 2),
+        ],
+        ids=["below-threshold", "one-cpu", "no-fork", "one-job", "capped-at-cpus"],
+    )
+    def test_width(self, monkeypatch, count, jobs, cpus, fork_ready, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(pipeline, "_fork_ready", fork_ready)
+        assert pipeline._pool_workers(count, jobs) == workers
+
+
 class TestMaskOnPool:
     @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
     @pytest.mark.parametrize("count", [1, 7, 2501])
@@ -294,6 +323,31 @@ class TestRun:
         monkeypatch.setattr(pipeline, "_mask_on_pool", recorded)
         run(path, RouterConfig(jobs=4), MockBackend())
         assert len(calls) == pooled
+
+    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to take the pool")
+    def test_pool_workers_mask_with_collector_off(self, tmp_path, monkeypatch):
+        # run() forks the pool with the collector off, and the workers inherit
+        # that state even when the caller had it on.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        monkeypatch.setattr(pipeline, "_skeleton", _skeleton_collector_off)
+        calls = []
+        mask_on_pool = pipeline._mask_on_pool
+
+        def recorded(*args):
+            calls.append(args)
+            return mask_on_pool(*args)
+
+        monkeypatch.setattr(pipeline, "_mask_on_pool", recorded)
+        collecting = gc.isenabled()
+        gc.enable()
+        try:
+            run(path, RouterConfig(jobs=2), MockBackend())
+        finally:
+            if not collecting:
+                gc.disable()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_backend_error_fails_run_without_output(self, tmp_path, jobs):
