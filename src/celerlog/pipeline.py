@@ -3,20 +3,24 @@
 ``run()`` takes the same path at every ``jobs`` value. Routing goes through
 ``routing.route()``, the one routing path. When ``_pool_workers`` allows
 more than one worker, the record contents are masked on a fork-context
-process pool (``_mask_on_pool``) and the skeletons passed to ``route()`` in
+process pool (``_mask_on_pool``), which inherits the records and sends back
+each index range's skeletons, and the skeletons are passed to ``route()`` in
 record order; otherwise ``route()`` masks them in process. On a 2-vCPU
 machine the pool pays: dense-40k ``parse_s_jN`` 0.655 s with it against
 0.729 s without, lower in 6/6 alternating pairs. ``multiprocessing`` and
 ``concurrent.futures`` load only on that pool path, in ``_fork_ready`` and
 ``_mask_on_pool``.
 
-The phases run in order on the calling thread: every dense group is
-extracted, then ``llm.process_sparse`` sends the sparse groups to the
-backend. Neither side reads the other's results, so the order cannot change
-the output, and a dense-side error raises before any LLM request is sent.
-Threads start only inside ``process_sparse``, none at ``jobs=1``, and all
-are joined before it returns or raises. Rows are built in record order by
-looking up each content, so output bytes never depend on the worker count.
+The phases run in order on the calling thread: every dense group gets its
+template and a reader of its messages (``statistical.read_columns``), then
+``llm.process_sparse`` sends the sparse groups to the backend. Neither side
+reads the other's results, so the order cannot change the output, and a
+dense-side error raises before any LLM request is sent. Threads start only
+inside ``process_sparse``, none at ``jobs=1``, and all are joined before it
+returns or raises. The template catalog is counted per group. The rows are
+a lazy sequence (``_Rows``) in record order: each row is built, its message
+split and its parameters read, only when it is read, so no row outlives its
+write and output bytes never depend on the worker count.
 
 The cyclic garbage collector is off while ``run()`` computes, from ingest
 through writing: those phases allocate millions of objects that hold no
@@ -39,7 +43,7 @@ import os
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
-from typing import NamedTuple, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import llm, statistical
 from .masking import compile_header_pattern, mask_message, strip_header
@@ -57,8 +61,9 @@ from .routing import RoutingStats, route
 _PARALLEL_THRESHOLD = 2000
 
 #: structured.csv rows joined per write. A jobs=1 run over the benchmark's
-#: sparse-llm corpus peaked at 34-35 MB of RSS with 256 rows per write and at
-#: 39 MB with 4,096.
+#: sparse-llm corpus (seed 1) peaked at 25.3 MB of RSS (its own ``VmHWM``)
+#: with 256 rows per write and at 29.9 MB with 4,096; dense-40k at 35.3 MB
+#: and 39.4 MB.
 _ROWS_PER_WRITE = 256
 
 
@@ -78,7 +83,7 @@ class ParsedRecord(NamedTuple):
 
 
 class RunResult(NamedTuple):
-    rows: list[ParsedRecord]
+    rows: Sequence[ParsedRecord]
     catalog: Counter
     ledger: CostLedger
     routing: RoutingStats
@@ -188,36 +193,97 @@ def _skeleton(content: str) -> str:
     return mask_message(content)[0]
 
 
+def _keep_records(records: Sequence[LogRecord]) -> None:
+    """Pool initializer: the records a forked worker masks by index range."""
+    global _worker_records
+    _worker_records = records
+
+
+def _mask_range(bounds: tuple[int, int]) -> list[str]:
+    """The skeletons of the worker's records ``start:stop``, each distinct one
+    a single object, so pickle sends it once and the parent shares it."""
+    start, stop = bounds
+    seen: dict[str, str] = {}
+    skeletons = []
+    for _, content in _worker_records[start:stop]:
+        key = _skeleton(content)
+        skeletons.append(seen.setdefault(key, key))
+    return skeletons
+
+
 def _mask_on_pool(records: Sequence[LogRecord], workers: int) -> list[str]:
     """Mask record contents on a fork-context pool of ``workers`` processes.
 
     ``workers`` comes from ``_pool_workers``. They are forked from ``run()``
-    with the cyclic collector off, and inherit that state. ``Executor.map``
-    sends the contents in about four chunks per worker and yields the
-    skeletons in record order, independent of completion order. The first
-    failed chunk in record order raises at once, cancelling the chunks not
+    with the cyclic collector off, and inherit that state. The records reach
+    them through the pool's initializer, which a forked worker inherits
+    unpickled, so each call sends an index range, about four per worker, and
+    returns that range's skeletons (``_mask_range``). ``Executor.map`` yields
+    the ranges in record order, independent of completion order. The first
+    failed range in record order raises at once, cancelling the ranges not
     yet started and without waiting for the running ones.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    contents = [record.content for record in records]
-    chunksize = max(1, -(-len(contents) // (workers * 4)))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    count = len(records)
+    step = max(1, -(-count // (workers * 4)))
+    ranges = [(start, min(start + step, count)) for start in range(0, count, step)]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_keep_records,
+        initargs=(records,),
+    )
     try:
-        # Every chunk is submitted here, so the OSError of a failed fork
+        # Every range is submitted here, so the OSError of a failed fork
         # passes through unwrapped.
-        mapped = pool.map(_skeleton, contents, chunksize=chunksize)
+        mapped = pool.map(_mask_range, ranges)
+        skeletons: list[str] = []
         try:
-            skeletons = list(mapped)
+            for part in mapped:
+                skeletons.extend(part)
         except Exception as exc:
             raise InternalInvariantError(f"masking worker failed: {exc}") from exc
     except BaseException:
-        # A context manager would wait here for every submitted chunk.
+        # A context manager would wait here for every submitted range.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown()
     return skeletons
+
+
+class _Rows(Sequence[ParsedRecord]):
+    """A run's rows in record order, each built when it is read.
+
+    ``readers[i]`` returns the result of record ``i``'s content: a dense
+    group's reader (``statistical.read_columns``), which splits the message
+    and reads its parameters, or the lookup into the sparse results. So the
+    rows cost memory only while they are written.
+    """
+
+    __slots__ = ("_records", "_readers")
+
+    def __init__(
+        self,
+        records: Sequence[LogRecord],
+        readers: Sequence[Callable[[str], TemplateResult]],
+    ) -> None:
+        self._records = records
+        self._readers = readers
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        line_id, content = self._records[index]
+        return ParsedRecord(line_id, content, self._readers[index](content))
+
+    def __iter__(self) -> Iterator[ParsedRecord]:
+        for (line_id, content), read in zip(self._records, self._readers):
+            yield ParsedRecord(line_id, content, read(content))
 
 
 def run(
@@ -248,25 +314,33 @@ def run(
         )
         ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
-        by_content: dict[str, TemplateResult] = {}
+        # ingest numbers the records from 0, so a line id indexes ``readers``.
+        readers: list = [None] * len(records)
+        catalog: Counter = Counter()
         for group in dense:
-            by_content.update(statistical.extract_template(group))
+            template, read = statistical.read_columns(group)
+            for member in group.member_groups:
+                for line_id in member.record_ids:
+                    readers[line_id] = read
+                catalog[template] += len(member.record_ids)
         # The sparse side mostly waits on the backend, so the collector comes
         # back on around it when the caller had it on.
         if collecting:
             gc.enable()
         try:
-            by_content.update(llm.process_sparse(sparse, backend, config, ledger))
+            sparse_results = llm.process_sparse(sparse, backend, config, ledger)
         finally:
             gc.disable()
-
-        rows: list[ParsedRecord] = []
-        for line_id, content in records:
-            result = by_content.get(content)
-            if result is None:
-                raise InternalInvariantError(f"record {line_id} missing from routing output")
-            rows.append(ParsedRecord(line_id, content, result))
-        catalog = Counter(row.result.template for row in rows)
+        lookup = sparse_results.__getitem__
+        for item in sparse:
+            for line_id in item.group.record_ids:
+                readers[line_id] = lookup
+                catalog[lookup(records[line_id].content).template] += 1
+        if None in readers:
+            raise InternalInvariantError(
+                f"record {readers.index(None)} missing from routing output"
+            )
+        rows = _Rows(records, readers)
 
         if out_dir is not None:
             write_output(

@@ -1,6 +1,6 @@
 """Template extraction for dense groups by per-position value analysis.
 
-Both producers of templates, ``extract_template`` here and
+Both producers of templates, ``read_columns`` here and
 ``llm.validate_and_mask``, mark which token positions of a message are
 parameters and hand them to ``collapse``, so every template they return is
 final: each run of adjacent parameter positions is one ``<*>``, and no token
@@ -9,9 +9,8 @@ that masking would change is left constant.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .masking import MASK_TOKEN_SET
 from .model import (
@@ -45,8 +44,12 @@ def collapse(
     return " ".join(template), spans
 
 
-def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
-    """Derive one template per distinct message of a dense group.
+def _mixed_lengths(anchor: str | None) -> InternalInvariantError:
+    return InternalInvariantError(f"dense group with anchor {anchor!r} mixes raw token lengths")
+
+
+def read_columns(group: DenseGroup) -> tuple[str, Callable[[str], TemplateResult]]:
+    """Derive a dense group's template and the reader of its messages' results.
 
     A position becomes a parameter when the group's distinct messages carry
     more than one value there, or when any member key masked it: the router
@@ -66,52 +69,78 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
       constant ``(12)`` column, which masks to ``(<NUM>)``, is a parameter;
     - any other key token is the raw token of every message, so it is constant.
 
-    Adjacent parameter positions form one parameter (``collapse``). Each
-    distinct message is split once, and its parameters are read by column:
-    when every parameter covers one token, one ``operator.itemgetter`` call
-    per message reads them all, and a multi-token parameter is the join of
-    its span. Masking is token for token and a bucket holds one key length,
-    so every message of a group has the same token count; a group that
-    breaks this raises ``InternalInvariantError``. The returned dict is in
-    no particular order.
+    The messages are split here only for a key token of the second kind.
+    Adjacent parameter positions form one parameter (``collapse``). The
+    reader takes one message of the group, splits it and reads its
+    parameters by column: when every parameter covers one token, one
+    ``operator.itemgetter`` call reads them all, and a multi-token parameter
+    is the join of its span. Masking is token for token and a bucket holds
+    one key length, so every message of a group has its keys' token count;
+    a group that breaks this raises ``InternalInvariantError`` here or from
+    the reader.
     """
     keys = [member.key_tokens for member in group.member_groups]
     first = keys[0]
     length = len(first)
-    contents = list(set().union(*[member.members for member in group.member_groups]))
-    token_lists = [content.split() for content in contents]
-    if any(len(key) != length for key in keys) or any(
-        len(tokens) != length for tokens in token_lists
-    ):
-        raise InternalInvariantError(
-            f"dense group with anchor {group.anchor_key!r} mixes raw token lengths"
-        )
+    anchor = group.anchor_key
+    if any(len(key) != length for key in keys):
+        raise _mixed_lengths(anchor)
 
-    variable = [
-        token in MASK_TOKEN_SET
-        or PLACEHOLDER in token
-        or any(key[position] != token for key in keys)
-        or ("<" in token and any(tokens[position] != token for tokens in token_lists))
-        for position, token in enumerate(first)
-    ]
+    token_lists: list[list[str]] | None = None
+    variable: list[bool] = []
+    for position, token in enumerate(first):
+        if (
+            token in MASK_TOKEN_SET
+            or PLACEHOLDER in token
+            or any(key[position] != token for key in keys)
+        ):
+            variable.append(True)
+        elif "<" in token:
+            if token_lists is None:
+                token_lists = [
+                    content.split() for member in group.member_groups for content in member.members
+                ]
+                if any(len(tokens) != length for tokens in token_lists):
+                    raise _mixed_lengths(anchor)
+            variable.append(any(tokens[position] != token for tokens in token_lists))
+        else:
+            variable.append(False)
     template, spans = collapse(first, variable)
 
     if any(end - start > 1 for start, end in spans):
-        parameters = [
-            tuple([" ".join(tokens[start:end]) for start, end in spans])
-            for tokens in token_lists
-        ]
+
+        def columns(tokens: list[str]) -> tuple[str, ...]:
+            return tuple([" ".join(tokens[start:end]) for start, end in spans])
+
     elif len(spans) > 1:
-        parameters = map(itemgetter(*[start for start, _ in spans]), token_lists)
+        columns = itemgetter(*[start for start, _ in spans])
     elif spans:
-        position = spans[0][0]
-        parameters = [(tokens[position],) for tokens in token_lists]
+        column = spans[0][0]
+
+        def columns(tokens: list[str]) -> tuple[str, ...]:
+            return (tokens[column],)
+
     else:
-        parameters = repeat(())
-    return {
-        content: TemplateResult(template, params, SOURCE_STATISTICAL)
-        for content, params in zip(contents, parameters)
-    }
+
+        def columns(tokens: list[str]) -> tuple[str, ...]:
+            return ()
+
+    def read(content: str) -> TemplateResult:
+        tokens = content.split()
+        if len(tokens) != length:
+            raise _mixed_lengths(anchor)
+        return TemplateResult(template, columns(tokens), SOURCE_STATISTICAL)
+
+    return template, read
+
+
+def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
+    """The result of each distinct message of a dense group (``read_columns``).
+
+    The returned dict is in no particular order.
+    """
+    _, read = read_columns(group)
+    return {content: read(content) for member in group.member_groups for content in member.members}
 
 
 def finalize(result: TemplateResult, tokens: tuple[str, ...]) -> TemplateResult:

@@ -24,10 +24,13 @@ from celerlog.model import (
     SOURCE_STATISTICAL,
     ConfigError,
     CostLedger,
+    DenseGroup,
     InternalInvariantError,
     LogRecord,
     RouterConfig,
+    SkeletonGroup,
 )
+from celerlog.routing import RoutingStats, route
 from celerlog.pipeline import (
     ParsedRecord,
     escape_parameters,
@@ -150,6 +153,28 @@ class TestIngest:
         assert peak < 3.0 * path.stat().st_size
 
 
+class TestRunMemory:
+    def test_dense_run_peak_stays_below_four_file_sizes(self, tmp_path):
+        # Shaped like the benchmark's dense-40k corpus at an eighth of its
+        # size. Keeping a result per distinct message, a lookup dict and a
+        # list of rows peaked at 4.8-5.2 times the file size on Python
+        # 3.10-3.13; a reader per group and rows built while they are
+        # written, at 3.1-3.4, most of it the records and routing.
+        lines, _ = make_template_corpus(
+            n_lines=5000, n_templates=50, n_oneoffs=25, seed=1, oneoff_lengths=(4, 54)
+        )
+        path = write_lines(tmp_path / "in.log", lines)
+        tracemalloc.start()
+        try:
+            result = run(path, RouterConfig(jobs=1), MockBackend(), out_dir=tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == len(lines)
+        assert result.routing.sparse_records < len(lines) // 100
+        assert peak < 4.0 * path.stat().st_size
+
+
 def _fail_marked_record(release, content):
     """Fail the marker record at once; hold every other one until released."""
     if content == "marker record":
@@ -165,6 +190,17 @@ def _skeleton_collector_off(content):
     if gc.isenabled():
         raise RuntimeError("masking worker has the cyclic collector on")
     return mask_message(content)[0]
+
+
+class _CountedContent(str):
+    """A record content that counts, in the process that pickles it, each time
+    it is pickled."""
+
+    pickled: list[str] = []
+
+    def __reduce_ex__(self, protocol):
+        self.pickled.append(str(self))
+        return str, (str(self),)
 
 
 def _fork_not_asked():
@@ -191,14 +227,29 @@ class TestPoolWorkers:
 
 class TestMaskOnPool:
     @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
-    @pytest.mark.parametrize("count", [1, 7, 2501])
+    @pytest.mark.parametrize("count", [1, 7, 9, 2501])
     def test_skeletons_match_serial_masking(self, count):
-        # Neither four nor eight chunks, four per worker, divide these counts evenly.
+        # Eight ranges, four per worker, divide none of these counts evenly.
         lines, _ = make_template_corpus(n_lines=2501, n_templates=15, n_oneoffs=50, seed=21)
         records = [LogRecord(index, line) for index, line in enumerate(lines[:count])]
         assert pipeline._mask_on_pool(records, 2) == [
             mask_message(record.content)[0] for record in records
         ]
+
+    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    def test_repeated_skeletons_in_a_range_are_one_object(self):
+        # 64 records of one skeleton in eight ranges: each range sends it once.
+        records = [LogRecord(index, f"event {index} done") for index in range(64)]
+        skeletons = pipeline._mask_on_pool(records, 2)
+        assert skeletons == ["event <NUM> done"] * 64
+        assert len({id(skeleton) for skeleton in skeletons}) <= 8
+
+    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    def test_records_reach_workers_unpickled(self, monkeypatch):
+        monkeypatch.setattr(_CountedContent, "pickled", [])
+        records = [LogRecord(index, _CountedContent(f"event {index} done")) for index in range(64)]
+        assert pipeline._mask_on_pool(records, 2) == ["event <NUM> done"] * 64
+        assert _CountedContent.pickled == []
 
     @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
     def test_first_failure_raises_without_waiting(self, tmp_path, monkeypatch):
@@ -273,7 +324,7 @@ class TestRun:
         path = tmp_path / "in.log"
         path.write_text("", encoding="utf-8")
         result = run(path, RouterConfig(jobs=1), MockBackend(), out_dir=tmp_path / "out")
-        assert result.rows == [] and dict(result.catalog) == {}
+        assert list(result.rows) == [] and dict(result.catalog) == {}
         ledger = result.ledger.to_dict()
         assert ledger["tokens_consumed"] == 0 and ledger["llm_invocations"] == 0
         assert (tmp_path / "out" / "structured.csv").read_text() == (
@@ -367,10 +418,10 @@ class TestRun:
         backend = _BrokenBackend() if failure == "backend" else _SlowMockBackend()
         if failure == "dense":
 
-            def broken_extract(group):
+            def broken_read(group):
                 raise InternalInvariantError("dense bug")
 
-            monkeypatch.setattr(statistical, "extract_template", broken_extract)
+            monkeypatch.setattr(statistical, "read_columns", broken_read)
         before = set(threading.enumerate())
         if failure is None:
             run(path, RouterConfig(jobs=jobs), backend)
@@ -387,10 +438,10 @@ class TestRun:
         run(path, RouterConfig(jobs=jobs), backend)
         assert backend.requests
 
-        def broken_extract(group):
+        def broken_read(group):
             raise InternalInvariantError("dense bug")
 
-        monkeypatch.setattr(statistical, "extract_template", broken_extract)
+        monkeypatch.setattr(statistical, "read_columns", broken_read)
         backend = _CountingMockBackend()
         with pytest.raises(InternalInvariantError, match="dense bug"):
             run(path, RouterConfig(jobs=jobs), backend)
@@ -431,7 +482,7 @@ class TestRun:
         lines, _ = make_template_corpus(n_lines=400, n_templates=12, n_oneoffs=40, seed=13)
         path = write_lines(tmp_path / "in.log", lines)
         computing: dict[str, list[bool]] = {"extract": [], "write": []}
-        extract, write_structured = statistical.extract_template, pipeline._write_structured
+        read_columns, write_structured = statistical.read_columns, pipeline._write_structured
 
         def record_then(phase, function):
             def wrapped(*args):
@@ -440,7 +491,7 @@ class TestRun:
 
             return wrapped
 
-        monkeypatch.setattr(statistical, "extract_template", record_then("extract", extract))
+        monkeypatch.setattr(statistical, "read_columns", record_then("extract", read_columns))
         monkeypatch.setattr(
             pipeline, "_write_structured", record_then("write", write_structured)
         )
@@ -549,27 +600,30 @@ class TestRun:
 
     def test_results_equal_finalize_of_every_message(self, tmp_path, monkeypatch):
         # Each "copy" and "worker" group has a length bucket of its own, so
-        # it goes dense: extract_template already makes the adjacent "copy"
+        # it goes dense: read_columns already makes the adjacent "copy"
         # variables one. Two of the three one-offs go sparse and roll back,
         # since the backend names no variable. run() writes what the
-        # producers returned, and finalize returns every result as it is.
+        # producers return, and finalize returns every result as it is.
         lines = [f"copy {index} {index * 3} blocks done" for index in range(20)]
         lines += [f"worker {index} ready" for index in range(20)]
         lines += ["alpha beta gamma delta", "epsilon zeta eta theta", "iota kappa lambda mu"]
         path = write_lines(tmp_path / "in.log", lines)
         before: dict[str, TemplateResult] = {}
-        real_extract, real_sparse = statistical.extract_template, llm.process_sparse
+        real_read, real_sparse = statistical.read_columns, llm.process_sparse
 
-        def recorded(function):
-            def wrapped(*args):
-                results = function(*args)
-                before.update(results)
-                return results
+        def read_columns(group):
+            template, read = real_read(group)
+            for member in group.member_groups:
+                before.update((content, read(content)) for content in member.members)
+            return template, read
 
-            return wrapped
+        def process_sparse(*args):
+            results = real_sparse(*args)
+            before.update(results)
+            return results
 
-        monkeypatch.setattr(statistical, "extract_template", recorded(real_extract))
-        monkeypatch.setattr(llm, "process_sparse", recorded(real_sparse))
+        monkeypatch.setattr(statistical, "read_columns", read_columns)
+        monkeypatch.setattr(llm, "process_sparse", process_sparse)
         result = run(path, RouterConfig(jobs=1), _NoVariablesBackend())
 
         expected = {
@@ -578,11 +632,49 @@ class TestRun:
         }
         assert {row.content: row.result for row in result.rows} == expected
         assert all(expected[content] is raw for content, raw in before.items())
+        assert result.catalog == Counter(row.result.template for row in result.rows)
         assert [before[line].source for line in lines[-3:]].count(SOURCE_ROLLBACK) == 2
         assert before["worker 3 ready"].template == "worker <*> ready"
         assert before["copy 1 3 blocks done"] == TemplateResult(
             "copy <*> blocks done", ("1 3",), SOURCE_STATISTICAL
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_equal_rows_from_extract_template(self, tmp_path, jobs):
+        # The per-content view: one result per distinct message, looked up
+        # for each record. Repeated lines make records share a message.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        lines += lines[:300]
+        path = write_lines(tmp_path / "in.log", lines)
+        config = RouterConfig(jobs=jobs)
+        records, _ = ingest(path)
+        dense, sparse, _ = route(records, config)
+        by_content = llm.process_sparse(sparse, MockBackend(), config, CostLedger())
+        for group in dense:
+            by_content.update(statistical.extract_template(group))
+        expected = [ParsedRecord(line_id, content, by_content[content]) for line_id, content in records]
+
+        result = run(path, config, MockBackend())
+        assert list(result.rows) == expected
+        assert len(result.rows) == len(expected)
+        assert result.rows[0] == expected[0] and result.rows[-1] == expected[-1]
+        assert result.rows[10:20] == expected[10:20]
+        assert result.catalog == Counter(row.result.template for row in expected)
+
+    def test_group_unlike_its_keys_raises_when_rows_are_read(self, tmp_path, monkeypatch):
+        # route() never builds this group: a key of two tokens over a message
+        # of three. The reader raises on that message while run() writes.
+        path = write_lines(tmp_path / "in.log", ["a b", "a b c"])
+        member = SkeletonGroup("a b", ("a", "b"), frozenset({"a b", "a b c"}), (0, 1))
+        routing = RoutingStats(1, 1, 1, 0, 2, 0)
+        monkeypatch.setattr(
+            pipeline, "route", lambda *args: ([DenseGroup(member_groups=(member,))], [], routing)
+        )
+        with pytest.raises(InternalInvariantError, match="mixes raw token lengths"):
+            run(path, RouterConfig(jobs=1), MockBackend(), out_dir=tmp_path / "out")
+        rows = run(path, RouterConfig(jobs=1), MockBackend()).rows
+        with pytest.raises(InternalInvariantError, match="mixes raw token lengths"):
+            list(rows)
 
     def test_parameters_keep_their_columns(self, tmp_path):
         # The three lines merge into one dense group whose first two

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from celerlog.model import (
@@ -12,12 +12,13 @@ from celerlog.model import (
     DenseGroup,
     InternalInvariantError,
     LogRecord,
+    SkeletonGroup,
     TemplateResult,
 )
 from celerlog.routing import bucket_by_length, group_by_skeleton
 from celerlog.llm import validate_and_mask
 from celerlog.masking import mask_token
-from celerlog.statistical import collapse, extract_template, finalize
+from celerlog.statistical import collapse, extract_template, finalize, read_columns
 from corpus import fig5_lines
 from oracles import (
     MASK_TOKENS,
@@ -111,6 +112,41 @@ class TestExtractTemplate:
             extract_template(group)
         with pytest.raises(InternalInvariantError, match="'a b'"):
             naive_extract_template(group)
+        with pytest.raises(InternalInvariantError, match="'a b'"):
+            read_columns(group)
+
+    def test_raw_token_count_unlike_the_keys_raises(self):
+        # A key of two tokens over a three-token message: read_columns reads
+        # no message here, so the reader raises when it reads that one.
+        member = SkeletonGroup("a b", ("a", "b"), frozenset({"a b", "a b c"}), (0, 1))
+        group = DenseGroup(member_groups=(member,), anchor_key="a b")
+        _, read = read_columns(group)
+        assert read("a b") == TemplateResult("a b", (), SOURCE_STATISTICAL)
+        with pytest.raises(InternalInvariantError, match="'a b'"):
+            read("a b c")
+        with pytest.raises(InternalInvariantError, match="'a b'"):
+            extract_template(group)
+
+
+class _Unsplittable(str):
+    def split(self, *args):
+        raise AssertionError(f"{str(self)!r} was split")
+
+
+class TestReadColumns:
+    def test_reads_no_message_without_a_key_token_holding_lt(self):
+        group = dense_group_from(["copy 1 blocks done", "copy 2 blocks done"])
+        member = group.member_groups[0]
+        unsplittable = member._replace(members=frozenset(map(_Unsplittable, member.members)))
+        template, _ = read_columns(DenseGroup(member_groups=(unsplittable,)))
+        assert template == "copy <*> blocks done"
+
+    def test_reads_every_message_for_a_key_token_holding_lt(self):
+        group = dense_group_from(["took (12) ms", "took (12) ms"])
+        member = group.member_groups[0]
+        unsplittable = member._replace(members=frozenset(map(_Unsplittable, member.members)))
+        with pytest.raises(AssertionError, match="was split"):
+            read_columns(DenseGroup(member_groups=(unsplittable,)))
 
 
 # Tokens for one position of a generated group: values whose key holds a
@@ -148,6 +184,17 @@ def groups_under_test(lines):
     groups = group_by_skeleton([LogRecord(i, line) for i, line in enumerate(lines)])
     merged = DenseGroup(member_groups=tuple(groups), anchor_key=groups[0].key)
     return [merged] + [DenseGroup(member_groups=(group,)) for group in groups]
+
+
+def position_runs(positions):
+    """The maximal runs of consecutive positions, as ``(start, end)`` spans."""
+    spans = []
+    for position in sorted(positions):
+        if spans and spans[-1][1] == position:
+            spans[-1] = (spans[-1][0], position + 1)
+        else:
+            spans.append((position, position + 1))
+    return spans
 
 
 def _merged_keys_differ_at_a_constant_position(lines):
@@ -232,6 +279,33 @@ class TestExtractTemplateAgainstOracle:
                 assert result.source == SOURCE_STATISTICAL
                 assert result.token_sequence() == content.split()
                 assert expanded_positions(result) == positions
+
+    @settings(max_examples=1000, deadline=None)
+    @given(dense_lines())
+    @example(["copy 1 3 blocks done", "copy 2 4 blocks done", "copy 1 3 blocks done"])
+    @example(["took (<NUM>) ms", "took (<NUM>) ms"])
+    @example(["took (12) ms", "took (<NUM>) ms"])
+    @example(["all quiet here", "all quiet here"])
+    def test_reader_equals_naive_record_by_record(self, lines):
+        # Each record, repeats included, through its group's reader: the
+        # naive template post-processed, and per run of parameter positions
+        # the join of the record's tokens there.
+        for group in groups_under_test(lines):
+            template, read = read_columns(group)
+            naive = naive_extract_template(group)
+            naive_tokens = next(iter(naive.values())).template.split()
+            assert template == naive_post_process(" ".join(naive_tokens))
+            positions = {
+                i for i, token in enumerate(naive_tokens) if token == PLACEHOLDER
+            } | maskable_positions(naive_tokens)
+            spans = position_runs(positions)
+            members = set().union(*(member.members for member in group.member_groups))
+            for line in lines:
+                if line not in members:
+                    continue
+                tokens = line.split()
+                parameters = tuple(" ".join(tokens[start:end]) for start, end in spans)
+                assert read(line) == TemplateResult(template, parameters, SOURCE_STATISTICAL)
 
     @pytest.mark.parametrize(
         "feature",
