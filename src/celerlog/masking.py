@@ -4,6 +4,13 @@ Masking replaces five kinds of variable-shaped tokens with designated mask
 tokens, one for one, so a skeleton always has exactly as many tokens as the
 raw message. The five rules (NUM, CL, UCL, BL, SL) are fixed, so they are a
 constant in code (``_MASK_RULES``, returned by ``default_mask_rules``).
+
+Two bounded caches sit in front of the rules. Masked tokens are cached by
+token. Behind that, an ASCII token is classified by its *shape*, the token
+with every character that no rule tells apart mapped to one byte (digits to
+``1``, letters to ``a`` or ``A``, hex digits kept apart after ``0x``): the
+rule regex runs once per shape, and the output is built from the token's own
+characters. Non-ASCII tokens go to the regex directly.
 """
 
 from __future__ import annotations
@@ -94,6 +101,45 @@ def _classifier() -> re.Pattern:
     )
 
 
+#: Byte tables that map an ASCII token to its shape: characters that neither
+#: the peeling nor any rule tells apart map to one byte. The coarse table
+#: sends digits to ``1`` and letters other than ``x``/``X`` to ``a``/``A``.
+#: Only NUM's hex branch ``0[xX][0-9A-Fa-f]+`` reads ``0`` or the hex letters,
+#: so a token holding ``0x`` or ``0X`` takes the fine table, which also keeps
+#: ``0`` and sends ``a-f``/``A-F`` and the other letters to different bytes.
+#: Fine shapes hold ``0`` and coarse ones never do, so the two never collide.
+_COARSE_SHAPE = bytes.maketrans(
+    b"0123456789abcdefghijklmnopqrstuvwyzABCDEFGHIJKLMNOPQRSTUVWYZ",
+    b"1111111111aaaaaaaaaaaaaaaaaaaaaaaaaAAAAAAAAAAAAAAAAAAAAAAAAA",
+)
+_FINE_SHAPE = bytes.maketrans(
+    b"123456789abcdefghijklmnopqrstuvwyzABCDEFGHIJKLMNOPQRSTUVWYZ",
+    b"111111111aaaaaagggggggggggggggggggAAAAAAGGGGGGGGGGGGGGGGGGG",
+)
+
+#: Token shape -> ``(start, end, designated token)`` of the masked core, or
+#: None when the token stays as it is; emptied at ``_TOKEN_CACHE_SIZE`` entries.
+_SHAPE_CACHE: dict[bytes, tuple[int, int, str] | None] = {}
+
+
+def _classify(token: str) -> tuple[int, int, str] | None:
+    """Where the token's core sits and which designated token replaces it."""
+    # Peel leading brackets, then trailing brackets and sentence punctuation.
+    core = token.lstrip(_OPEN_BRACKETS)
+    start = len(token) - len(core)
+    core = core.rstrip(_PEELED_TRAILING)
+    if not core:
+        return None
+    match = _classifier().fullmatch(core)
+    if match is None:
+        return None
+    name = match.lastgroup
+    if name == "SL" and len(token) == 1:
+        # A bare letter only masks when a delimiter sat right next to it.
+        return None
+    return start, start + len(core), f"<{name}>"
+
+
 def _mask_uncached(token: str) -> str:
     # No rule masks a token of lowercase letters alone: NUM, CL and UCL need a
     # digit or a delimiter, BL capitals, and SL one letter beside a delimiter.
@@ -104,20 +150,26 @@ def _mask_uncached(token: str) -> str:
     if "<" in token and any(mask in token for mask in MASK_TOKEN_SET):
         # Already carries a designated token; re-masking must be a no-op.
         return token
-    # Peel leading brackets, then trailing brackets and sentence punctuation.
-    core = token.lstrip(_OPEN_BRACKETS)
-    start = len(token) - len(core)
-    core = core.rstrip(_PEELED_TRAILING)
-    if not core:
+    if token.isascii():
+        # Tokens of one shape classify alike, so the regex runs once per shape.
+        shape = token.encode().translate(
+            _FINE_SHAPE if "0x" in token or "0X" in token else _COARSE_SHAPE
+        )
+        span = _SHAPE_CACHE.get(shape, False)
+        if span is False:
+            if len(_SHAPE_CACHE) >= _TOKEN_CACHE_SIZE:
+                _SHAPE_CACHE.clear()
+            span = _SHAPE_CACHE[shape] = _classify(token)
+    else:
+        # \d also matches non-ASCII digits, which no byte table can list.
+        span = _classify(token)
+    if span is None:
         return token
-    match = _classifier().fullmatch(core)
-    if match is None:
-        return token
-    name = match.lastgroup
-    if name == "SL" and len(token) == 1:
-        # A bare letter only masks when a delimiter sat right next to it.
-        return token
-    return f"{token[:start]}<{name}>{token[start + len(core):]}"
+    start, end, mask = span
+    if not start and end == len(token):
+        # Most masked tokens are all core; their slices would be empty.
+        return mask
+    return f"{token[:start]}{mask}{token[end:]}"
 
 
 class _TokenCache(dict):

@@ -87,15 +87,21 @@ def group_by_skeleton(
         else:
             members[key] = {record.content}
             record_ids[key] = [record.line_id]
-    return [
-        SkeletonGroup(
-            key=key,
-            key_tokens=tuple(key.split()),
-            members=frozenset(members[key]),
-            record_ids=tuple(sorted(record_ids[key])),
+    # Pop each key's set and list as its group is built, so each is freed
+    # once copied rather than when the last group is done.
+    groups = []
+    for key in sorted(members):
+        ids = record_ids.pop(key)
+        ids.sort()
+        groups.append(
+            SkeletonGroup(
+                key=key,
+                key_tokens=tuple(key.split()),
+                members=frozenset(members.pop(key)),
+                record_ids=tuple(ids),
+            )
         )
-        for key in sorted(members)
-    ]
+    return groups
 
 
 def bucket_by_length(groups: Iterable[SkeletonGroup]) -> list[LogBucket]:

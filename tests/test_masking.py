@@ -1,12 +1,15 @@
 import importlib
 import pkgutil
+import re
 
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import celerlog
+from celerlog import masking
 from celerlog.masking import (
+    _SHAPE_CACHE,
     _TOKEN_CACHE,
     _TOKEN_CACHE_SIZE,
     EmptyMessageError,
@@ -18,8 +21,16 @@ from celerlog.masking import (
     mask_token,
     strip_header,
 )
-from celerlog.model import ConfigError
+from celerlog.model import ConfigError, LogRecord, RouterConfig
+from celerlog.routing import route
+from corpus import make_template_corpus
 from oracles import naive_mask_token
+
+
+def examples(count):
+    """At least ``count`` examples, more under a deeper Hypothesis profile."""
+    return max(count, settings.default.max_examples)
+
 
 ZK_HEADER = r"^\S+ \S+ - (?P<level>\w+)\s+\[[^\]]*\] - (?P<content>.*)$"
 
@@ -94,13 +105,36 @@ class TestMaskToken:
 # Pieces that exercise the peeling and the guard: brackets on both sides,
 # trailing punctuation, designated tokens embedded in longer tokens, lone
 # letters, values for every rule, and alphabetic words in every case,
-# non-ASCII ones included.
+# non-ASCII ones included. The shape tables merge digits and letters, so the
+# pieces also hold what they must keep apart: hex prefixes with and without
+# hex digits after them, an x between digits, zeros, signs, hex and non-hex
+# capitals, a lone x in both cases and a non-ASCII digit.
 TOKEN_PIECES = st.sampled_from(
     ["(", "[", "<", ")", "]", ">", ",", ":", ";", ".", "!", "?", "<NUM>", "<*>", "<CL>",
      "<SL", "NUM>", "s", "Z", "OK", "ERROR", "/", "=", "-", "_", "\\", "0x1f", "42", "3.5",
-     "blk9", "user", "path/to", "Failed", "RETRIES", "é", "ß", "ǅ"]
+     "blk9", "user", "path/to", "Failed", "RETRIES", "é", "ß", "ǅ", "0x", "0X", "0xg", "1x2",
+     "00", "-7", "+", "AF", "G", "x", "X", "٣"]
 )
 mask_tokens_strategy = st.lists(TOKEN_PIECES, min_size=1, max_size=6).map("".join)
+
+
+# Characters that the masking rules read alike, as this test sees them. In a
+# token holding a hex prefix, NUM's hex branch also tells 0 from the other
+# digits and a-f/A-F from the other letters. No class holds 0, x or X, so a
+# swap never makes or breaks a hex prefix.
+PLAIN_CLASSES = ("123456789", "abcdefghijklmnopqrstuvwyz", "ABCDEFGHIJKLMNOPQRSTUVWYZ")
+HEX_CLASSES = ("123456789", "abcdef", "ghijklmnopqrstuvwyz", "ABCDEF", "GHIJKLMNOPQRSTUVWYZ")
+
+
+def _same_class(char, token, rng):
+    """A character of ``char``'s class in ``token``, drawn by ``rng``."""
+    hex_prefixed = "0x" in token or "0X" in token
+    if char == "0" and not hex_prefixed:
+        return rng.choice(PLAIN_CLASSES[0])
+    for chars in HEX_CLASSES if hex_prefixed else PLAIN_CLASSES:
+        if char in chars:
+            return rng.choice(chars)
+    return char
 
 
 def _is_lone_letter(token):
@@ -108,10 +142,22 @@ def _is_lone_letter(token):
 
 
 class TestMaskTokenAgainstOracle:
-    @settings(max_examples=2000, deadline=None)
+    @settings(max_examples=examples(2000), deadline=None)
     @given(mask_tokens_strategy)
     def test_equals_naive_mask_token(self, token):
         assert mask_token(token) == naive_mask_token(token)
+
+    @settings(max_examples=examples(2000), deadline=None)
+    @given(mask_tokens_strategy.filter(str.isascii), st.randoms(use_true_random=False))
+    def test_warm_shape_entry_equals_naive_mask_token(self, token, rng):
+        # A sibling of the same shape fills the shape entry, so the token is
+        # masked from what the sibling left there and adds no entry.
+        sibling = "".join(_same_class(char, token, rng) for char in token)
+        _TOKEN_CACHE.clear()
+        assert mask_token(sibling) == naive_mask_token(sibling)
+        warm = len(_SHAPE_CACHE)
+        assert mask_token(token) == naive_mask_token(token)
+        assert len(_SHAPE_CACHE) == warm
 
     @pytest.mark.parametrize(
         "feature",
@@ -129,10 +175,24 @@ class TestMaskTokenAgainstOracle:
             lambda token: "é" in token and token.isalpha(),
             lambda token: "ß" in token and token.isalpha(),
             lambda token: "ǅ" in token and token.isalpha(),
+            lambda token: re.fullmatch(r"0x[0-9A-Fa-f]+", token) is not None,
+            lambda token: re.search(r"0[xX][0-9A-Fa-f]*[A-F]", token) is not None,
+            lambda token: re.search(r"0[xX]([^0-9A-Fa-f]|$)", token) is not None,
+            lambda token: re.fullmatch(r"[1-9][xX][0-9]+", token) is not None,
+            lambda token: re.fullmatch(r"00[0-9]*", token) is not None,
+            lambda token: re.fullmatch(r"[+-][0-9]+", token) is not None,
+            lambda token: "G" in token and naive_mask_token(token) != token,
+            lambda token: token in ("x", "X"),
+            lambda token: token.strip("([<)]>,:;.!?") in ("x", "X") and len(token) > 1,
+            lambda token: "٣" in token and naive_mask_token(token) == "<NUM>",
+            lambda token: "٣" in token and naive_mask_token(token) == token,
         ],
         ids=["brackets", "trailing-punct", "embedded-num", "embedded-placeholder",
              "bracket-masked", "lone-letter", "lone-letter-adjacent", "lower-word",
-             "upper-word", "title-word", "e-acute", "sharp-s", "titlecase-dz"],
+             "upper-word", "title-word", "e-acute", "sharp-s", "titlecase-dz",
+             "hex-number", "upper-hex-digit", "hex-prefix-alone", "x-between-digits",
+             "leading-zeros", "signed-number", "non-hex-capital", "lone-x",
+             "lone-x-adjacent", "arabic-indic-number", "arabic-indic-unmasked"],
     )
     def test_generator_covers(self, feature):
         find(
@@ -156,6 +216,44 @@ def test_every_cache_is_bounded():
         assert mask_message(f"tok{number} {number}")[0] == "<UCL> <NUM>"
         assert len(_TOKEN_CACHE) <= _TOKEN_CACHE_SIZE
     assert mask_token("x86") == "<UCL>"
+    # So is the shape cache behind it: each token below has a shape of its
+    # own, a run of capitals and digits spelling the number in binary.
+    _SHAPE_CACHE.clear()
+    for number in range(2 * _TOKEN_CACHE_SIZE + 1):
+        token = f"({number:014b})".translate(str.maketrans("01", "A7"))
+        assert mask_token(token) == naive_mask_token(token)
+        assert len(_SHAPE_CACHE) <= _TOKEN_CACHE_SIZE
+    # It emptied itself twice on the way, and masks alike afterwards.
+    assert len(_SHAPE_CACHE) <= _TOKEN_CACHE_SIZE // 2
+    _TOKEN_CACHE.clear()
+    for token in ("0x1f", "0xg1", "1x2", "OK", "(s)", "A7A", "AAAAAAA7", "user=7"):
+        assert mask_token(token) == naive_mask_token(token)
+
+
+def test_regex_runs_once_per_token_shape(monkeypatch):
+    lines, _ = make_template_corpus(
+        n_lines=3000, n_templates=50, n_oneoffs=30, seed=3, oneoff_lengths=(4, 54)
+    )
+    # Shapes at least as fine as the masker's: 0, x and X keep their own
+    # class, and a-f and A-F theirs. The corpus is ASCII.
+    table = str.maketrans("0123456789" + "abcdefghijklmnopqrstuvwxyz" + "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+                          "0111111111" + "aaaaaagggggggggggggggggxgg" + "AAAAAAGGGGGGGGGGGGGGGGGXGG")
+    tokens = {token for line in lines for token in line.split()}
+    shapes = {token.translate(table) for token in tokens}
+    classifier = masking._classifier()
+    calls = []
+
+    class CountingClassifier:
+        def fullmatch(self, core):
+            calls.append(core)
+            return classifier.fullmatch(core)
+
+    monkeypatch.setattr(masking, "_classifier", CountingClassifier)
+    monkeypatch.setattr(masking, "_TOKEN_CACHE", masking._TokenCache())
+    monkeypatch.setattr(masking, "_SHAPE_CACHE", {})
+    _, _, stats = route([LogRecord(i, line) for i, line in enumerate(lines)], RouterConfig())
+    assert stats.dense_records + stats.sparse_records == len(lines)
+    assert 0 < len(calls) <= len(shapes)
 
 
 class TestMaskMessage:
@@ -193,19 +291,19 @@ contents_strategy = st.lists(tokens_strategy, min_size=1, max_size=10).map(" ".j
 
 
 class TestMaskingProperties:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(contents_strategy)
     def test_idempotent(self, content):
         skeleton, _ = mask_message(content)
         assert mask_message(skeleton)[0] == skeleton
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(contents_strategy)
     def test_length_preserving(self, content):
         _, key_tokens = mask_message(content)
         assert len(key_tokens) == len(content.split())
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(contents_strategy)
     def test_deterministic(self, content):
         assert mask_message(content) == mask_message(content)
