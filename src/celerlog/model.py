@@ -95,6 +95,12 @@ class RouterConfig(NamedTuple):
     llm_batch_size: int = 1
 
     def validate(self) -> None:
+        # Each field takes the type of its default, and an int also where that
+        # is a float, as in type hints; a bool is neither.
+        for name, default in self._field_defaults.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, type(default))):
+                raise ConfigError(f"{name} must be {type(default).__name__}, got {value!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.p_quantile <= 1.0:

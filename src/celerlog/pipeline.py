@@ -5,11 +5,12 @@
 more than one worker, the record contents are masked on a fork-context
 process pool (``_mask_on_pool``), which inherits the records and sends back
 each index range's skeletons, and the skeletons are passed to ``route()`` in
-record order; otherwise ``route()`` masks them in process. On a 2-vCPU
-machine the pool pays: dense-40k ``parse_s_jN`` 0.655 s with it against
-0.729 s without, lower in 6/6 alternating pairs. ``multiprocessing`` and
-``concurrent.futures`` load only on that pool path, in ``_fork_ready`` and
-``_mask_on_pool``.
+record order; otherwise ``route()`` masks them in process. The pool is taken
+only from ``_PARALLEL_THRESHOLD`` records, the measured break-even of two
+workers on 2 vCPUs (its comment holds the table): below it, forking and
+importing the pool cost more than the second worker saves, so of the
+benchmark workloads only dense-40k takes it. ``multiprocessing`` and
+``concurrent.futures`` load only on that pool path, in ``_mask_on_pool``.
 
 The phases run in order on the calling thread: every dense group gets its
 template and a reader of its messages (``statistical.read_columns``), then
@@ -27,10 +28,12 @@ through writing: those phases allocate millions of objects that hold no
 cycles, and each collection traverses the live ones. On dense-40k the
 collector took about a tenth of a run, in 340 collections. When the caller
 had it on, it comes back on only around the ``process_sparse`` call, which
-mostly waits, so a long HTTP run still collects; ``run()`` restores the
-caller's setting however it exits. The pool's workers are forked while it is
-off, and a forked process inherits the collector state, so they mask with it
-off too.
+mostly waits and whose failed requests do leave cycles: with the collector
+off, 50 refused ``HttpBackend`` requests to 127.0.0.1 left 5,550 objects of
+cyclic garbage (111 each), while 200 answered ones left none. So a long HTTP
+run still collects. ``run()`` restores the caller's setting however it
+exits. The pool's workers are forked while it is off, and a forked process
+inherits the collector state, so they mask with it off too.
 """
 
 from __future__ import annotations
@@ -57,8 +60,22 @@ from .model import (
 )
 from .routing import RoutingStats, route
 
-#: Below this many records the masking pool costs more than it saves.
-_PARALLEL_THRESHOLD = 2000
+#: Below this many records the masking pool costs more than it saves. It is
+#: the break-even of the two-worker pool on 2 vCPUs: fresh processes timed
+#: ``_mask_on_pool(records[:n], 2)`` against masking the same records in
+#: process, 6 alternating pairs per size and sweep, on the benchmark's
+#: dense-40k records (seed 1). Pool wins per sweep, and the medians of all
+#: pairs in ms (pool / in process):
+#:
+#:   n        4k    8k    12k   16k   20k   24k   28k   32k   36k   40k
+#:   wins     0,0,0 1,0,2 3,0,3 2,3,0 4,3,6 4,2,4 5,6   5,3   6,5   5,6
+#:   pool     65    99    100   117   159   197   205   249   269   259
+#:   process  33    87    100   109   194   197   306   286   386   376
+#:
+#: 28,000 is the smallest size at which the pool won at least five pairs in
+#: six (11 of 12). On mixed-20k records it won 0, 0, 0, 2 and 4 of 6 at
+#: 4k-20k.
+_PARALLEL_THRESHOLD = 28_000
 
 #: structured.csv rows joined per write. A jobs=1 run over the benchmark's
 #: sparse-llm corpus (seed 1) peaked at 25.3 MB of RSS (its own ``VmHWM``)
@@ -160,13 +177,6 @@ def ingest(
     return records, stats
 
 
-def _fork_ready() -> bool:
-    import multiprocessing
-
-    # Asking for the start method would fix it for the whole process.
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform
     has one, which ``taskset`` and container CPU sets narrow, else every core."""
@@ -178,14 +188,12 @@ def _usable_cpus() -> int:
 def _pool_workers(count: int, jobs: int) -> int:
     """How many processes mask ``count`` records; 1 means in process.
 
-    The pool is taken with ``jobs > 1``, at least ``_PARALLEL_THRESHOLD``
-    records, more than one usable CPU and the fork start method. It never has
-    more workers than usable CPUs, which would only take turns. ``_fork_ready``
-    is asked last, so a ``jobs=1`` run never imports ``multiprocessing``.
+    The pool is taken from ``_PARALLEL_THRESHOLD`` records where ``os.fork``
+    exists, when ``jobs`` and the usable CPUs both exceed 1. It never has more
+    workers than usable CPUs, which would only take turns.
     """
-    workers = min(jobs, _usable_cpus())
-    if count >= _PARALLEL_THRESHOLD and workers > 1 and _fork_ready():
-        return workers
+    if count >= _PARALLEL_THRESHOLD and hasattr(os, "fork"):
+        return min(jobs, _usable_cpus())
     return 1
 
 

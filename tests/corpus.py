@@ -58,16 +58,31 @@ def _alpha_word(counter: int, prefix: str = "q") -> str:
 
 
 class _Template:
-    def __init__(self, rng: random.Random, length: int, pool: list[str]):
-        self.length = length
-        self.slots = sorted(rng.sample(range(1, length), k=min(3, max(1, length // 8))))
-        self.kinds = [rng.choice(("int", "hex", "path", "pair", "ident")) for _ in self.slots]
-        self.constants = [rng.choice(pool) for _ in range(length)]
+    def __init__(self, slots: list[int], kinds: list[str], constants: list[str]):
+        self.length = len(constants)
+        self.slots = slots
+        self.kinds = kinds
+        self.constants = constants
 
-    def render(self, rng: random.Random) -> str:
+    @classmethod
+    def draw(cls, rng: random.Random, length: int, pool: list[str]) -> "_Template":
+        slots = sorted(rng.sample(range(1, length), k=min(3, max(1, length // 8))))
+        kinds = [rng.choice(("int", "hex", "path", "pair", "ident")) for _ in slots]
+        return cls(slots, kinds, [rng.choice(pool) for _ in range(length)])
+
+    def twin(self, rng: random.Random, pool: list[str]) -> "_Template":
+        """The same template with one constant word outside the slots replaced."""
+        position = rng.choice([p for p in range(self.length) if p not in self.slots])
+        constants = list(self.constants)
+        constants[position] = rng.choice([word for word in pool if word != constants[position]])
+        return _Template(self.slots, self.kinds, constants)
+
+    def render(self, rng: random.Random, names: list[str]) -> str:
         tokens = list(self.constants)
         for slot, kind in zip(self.slots, self.kinds):
-            if kind == "int":
+            if names and rng.random() < 0.3:
+                value = rng.choice(names)
+            elif kind == "int":
                 value = str(rng.randrange(10**6))
             elif kind == "hex":
                 value = f"0x{rng.randrange(16**8):x}"
@@ -80,13 +95,6 @@ class _Template:
             tokens[slot] = value
         return " ".join(tokens)
 
-    def skeleton(self) -> str:
-        kinds_to_mask = {"int": "<NUM>", "hex": "<NUM>", "path": "<CL>", "pair": "<CL>", "ident": "<UCL>"}
-        tokens = list(self.constants)
-        for slot, kind in zip(self.slots, self.kinds):
-            tokens[slot] = kinds_to_mask[kind]
-        return " ".join(tokens)
-
 
 def make_template_corpus(
     n_lines: int,
@@ -94,26 +102,50 @@ def make_template_corpus(
     n_oneoffs: int = 100,
     seed: int = 7,
     oneoff_lengths: tuple[int, int] = (4, 21),
+    *,
+    shared_lengths: bool = False,
+    name_pool: int = 0,
+    siblings: bool = False,
 ) -> tuple[list[str], dict[str, str]]:
     """Build a corpus of parameter-varying template lines plus isolated lines.
 
-    Template token lengths are all distinct, so each template owns exactly one
-    skeleton group in its bucket. One-off lines are made of globally unique
+    By default template token lengths are all distinct, so each template owns
+    exactly one skeleton group in its bucket. One-off lines are made of globally unique
     words; concentrating their lengths (via ``oneoff_lengths``) piles
     mutually dissimilar skeleton groups into few buckets, which is what makes
     the merge phase work for a living. Returns (lines, content -> true
     template) where the true template masks each parameter slot with ``<*>``.
+
+    Three options, all off by default, make routing decide between templates
+    that masking cannot tell apart (as in real logs, Loghub-2.0):
+
+    - ``shared_lengths``: template ``i`` has ``4 + i % 20`` tokens, so
+      templates share length buckets.
+    - ``name_pool``: with probability 0.3 a parameter slot holds a lowercase
+      name, which masking leaves as it is, drawn from a pool of this many;
+      its true template still has ``<*>`` there.
+    - ``siblings``: every template gets a twin that differs in one constant
+      word outside its slots and is a true template of its own.
+
+    An option that is off draws nothing from the random stream, so with all
+    three off a seed keeps its corpus (``tests/test_corpus.py`` pins two).
     """
     rng = random.Random(seed)
     pool = WORDS + FILLER
-    templates = [_Template(rng, length=4 + i, pool=pool) for i in range(n_templates)]
+    templates = [
+        _Template.draw(rng, 4 + (i % 20 if shared_lengths else i), pool)
+        for i in range(n_templates)
+    ]
+    if siblings:
+        templates += [template.twin(rng, pool) for template in templates]
+    names = [_alpha_word(index, prefix="n") for index in range(name_pool)]
 
     truth: dict[str, str] = {}
     lines: list[str] = []
     body = n_lines - n_oneoffs
     for index in range(body):
-        template = templates[index % n_templates]
-        line = template.render(rng)
+        template = templates[index % len(templates)]
+        line = template.render(rng, names)
         lines.append(line)
         tokens = line.split()
         for slot in template.slots:

@@ -13,7 +13,7 @@ import celerlog
 from celerlog import __version__
 from celerlog.cli import build_parser, main
 from celerlog.model import RouterConfig
-from corpus import fig5_lines
+from corpus import fig5_lines, make_template_corpus
 
 GOLDEN_HELP = Path(__file__).parent / "data" / "cli_help.txt"
 README = Path(__file__).parents[1] / "README.md"
@@ -40,6 +40,36 @@ class TestParseCommand:
         ])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Skeleton groups hold their messages in frozensets, whose order moves
+        # with PYTHONHASHSEED; batches of 4 would carry that order into the
+        # token counts of run.json. With two templates a length, some whole
+        # templates go sparse, so sparse groups hold many messages.
+        lines, _ = make_template_corpus(
+            n_lines=800, n_templates=40, n_oneoffs=40, seed=13, shared_lengths=True
+        )
+        log = write_lines(tmp_path / "in.log", lines)
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out-{seed}"
+            env = dict(
+                os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(celerlog.__file__).parents[1])
+            )
+            subprocess.run(
+                [
+                    sys.executable, "-m", "celerlog.cli", "parse", "--input", str(log),
+                    "--output", str(out), "--batch-size", "4", "--backend", "mock",
+                ],
+                env=env, check=True, timeout=120,
+            )
+            ledger = json.loads((out / "run.json").read_text())["ledger"]
+            del ledger["wall_time_seconds"]
+            outputs.append(
+                [(out / name).read_bytes() for name in ("structured.csv", "templates.csv")]
+                + [ledger]
+            )
+        assert outputs[0] == outputs[1]
 
     def test_missing_input_exits_2(self, tmp_path):
         code = main([

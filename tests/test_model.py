@@ -5,6 +5,7 @@ import pytest
 from celerlog.evaluation import Metrics
 from celerlog.llm import BackendResponse, PromptEnvelope
 from celerlog.model import (
+    ConfigError,
     CostLedger,
     DenseGroup,
     LogBucket,
@@ -64,3 +65,29 @@ def test_router_config_to_dict_keys_and_values():
         "llm_batch_size": 1,
     }
     assert list(RouterConfig(jobs=1).to_dict().values()) == list(RouterConfig(jobs=1))
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"jobs": 1.5}, "jobs"),
+        ({"jobs": True}, "jobs"),
+        ({"llm_batch_size": 2.5}, "llm_batch_size"),
+        ({"llm_batch_size": "4"}, "llm_batch_size"),
+        ({"alpha": "0.5"}, "alpha"),
+        ({"alpha": True}, "alpha"),
+        ({"p_quantile": None}, "p_quantile"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": 1.5}, "alpha"),
+        ({"p_quantile": 0}, "p-quantile"),
+        ({"jobs": 0}, "jobs"),
+        ({"llm_batch_size": -1}, "batch-size"),
+    ],
+)
+def test_router_config_validate_names_the_bad_field(fields, named):
+    with pytest.raises(ConfigError, match=named):
+        RouterConfig(**fields).validate()
+
+
+def test_router_config_takes_ints_for_its_numbers():
+    RouterConfig(alpha=1, p_quantile=1, jobs=1, llm_batch_size=1).validate()

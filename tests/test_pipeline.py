@@ -45,9 +45,19 @@ from corpus import fig5_lines, make_template_corpus
 from oracles import naive_write_structured
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def pool_from_2500(monkeypatch):
+    """Lets run() take the masking pool for the 2,500-record test corpora,
+    which lie below the measured threshold."""
+    monkeypatch.setattr(pipeline, "_PARALLEL_THRESHOLD", 2500)
 
 
 class TestIngest:
@@ -203,30 +213,28 @@ class _CountedContent(str):
         return str, (str(self),)
 
 
-def _fork_not_asked():
-    raise AssertionError("_fork_ready was asked")
-
-
 class TestPoolWorkers:
+    @needs_fork
     @pytest.mark.parametrize(
-        "count, jobs, cpus, fork_ready, workers",
+        "count, jobs, cpus, fork, workers",
         [
-            (pipeline._PARALLEL_THRESHOLD - 1, 8, {0, 1}, _fork_not_asked, 1),
-            (pipeline._PARALLEL_THRESHOLD, 8, {0}, _fork_not_asked, 1),
-            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, lambda: False, 1),
-            (pipeline._PARALLEL_THRESHOLD, 1, {0, 1}, _fork_not_asked, 1),
-            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, lambda: True, 2),
+            (pipeline._PARALLEL_THRESHOLD - 1, 8, {0, 1}, True, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0}, True, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, False, 1),
+            (pipeline._PARALLEL_THRESHOLD, 1, {0, 1}, True, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, True, 2),
         ],
         ids=["below-threshold", "one-cpu", "no-fork", "one-job", "capped-at-cpus"],
     )
-    def test_width(self, monkeypatch, count, jobs, cpus, fork_ready, workers):
+    def test_width(self, monkeypatch, count, jobs, cpus, fork, workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(pipeline, "_fork_ready", fork_ready)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
         assert pipeline._pool_workers(count, jobs) == workers
 
 
 class TestMaskOnPool:
-    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @needs_fork
     @pytest.mark.parametrize("count", [1, 7, 9, 2501])
     def test_skeletons_match_serial_masking(self, count):
         # Eight ranges, four per worker, divide none of these counts evenly.
@@ -236,7 +244,7 @@ class TestMaskOnPool:
             mask_message(record.content)[0] for record in records
         ]
 
-    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @needs_fork
     def test_repeated_skeletons_in_a_range_are_one_object(self):
         # 64 records of one skeleton in eight ranges: each range sends it once.
         records = [LogRecord(index, f"event {index} done") for index in range(64)]
@@ -244,14 +252,14 @@ class TestMaskOnPool:
         assert skeletons == ["event <NUM> done"] * 64
         assert len({id(skeleton) for skeleton in skeletons}) <= 8
 
-    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @needs_fork
     def test_records_reach_workers_unpickled(self, monkeypatch):
         monkeypatch.setattr(_CountedContent, "pickled", [])
         records = [LogRecord(index, _CountedContent(f"event {index} done")) for index in range(64)]
         assert pipeline._mask_on_pool(records, 2) == ["event <NUM> done"] * 64
         assert _CountedContent.pickled == []
 
-    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @needs_fork
     def test_first_failure_raises_without_waiting(self, tmp_path, monkeypatch):
         # Every record but the marked one holds for up to 3 s, so waiting for
         # the submitted chunks would take several seconds.
@@ -345,6 +353,7 @@ class TestRun:
         for row in result.rows:
             assert row.result.token_sequence() == row.content.split()
 
+    @pytest.mark.usefixtures("pool_from_2500")
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
         path = write_lines(tmp_path / "in.log", lines)
@@ -355,7 +364,8 @@ class TestRun:
                 tmp_path / "out2" / name
             ).read_bytes()
 
-    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @pytest.mark.usefixtures("pool_from_2500")
+    @needs_fork
     @pytest.mark.parametrize("cpus, pooled", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "two-cpus"])
     def test_pool_only_with_more_than_one_usable_cpu(self, tmp_path, monkeypatch, cpus, pooled):
         # A process pinned to one CPU (taskset, a container's CPU set) gains
@@ -375,7 +385,8 @@ class TestRun:
         run(path, RouterConfig(jobs=4), MockBackend())
         assert len(calls) == pooled
 
-    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @pytest.mark.usefixtures("pool_from_2500")
+    @needs_fork
     @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to take the pool")
     def test_pool_workers_mask_with_collector_off(self, tmp_path, monkeypatch):
         # run() forks the pool with the collector off, and the workers inherit
@@ -400,6 +411,7 @@ class TestRun:
                 gc.disable()
         assert len(calls) == 1
 
+    @pytest.mark.usefixtures("pool_from_2500")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_backend_error_fails_run_without_output(self, tmp_path, jobs):
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
@@ -408,6 +420,7 @@ class TestRun:
             run(path, RouterConfig(jobs=jobs), _BrokenBackend(), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.usefixtures("pool_from_2500")
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("failure", [None, "backend", "dense"])
     def test_every_thread_run_starts_is_joined(self, tmp_path, monkeypatch, jobs, failure):
@@ -462,6 +475,7 @@ class TestRun:
         assert result.ledger.to_dict()["llm_invocations"] > 0
         assert started == []
 
+    @pytest.mark.usefixtures("pool_from_2500")
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
     def test_run_restores_the_collector_setting(self, tmp_path, jobs, collecting):
@@ -513,7 +527,8 @@ class TestRun:
         path = write_lines(tmp_path / "in.log", lines)
         script = (
             "import multiprocessing, sys\n"
-            "from celerlog import RouterConfig, run\n"
+            "from celerlog import RouterConfig, pipeline, run\n"
+            "pipeline._PARALLEL_THRESHOLD = 2500\n"
             "run(sys.argv[1], RouterConfig(jobs=2))\n"
             "print(multiprocessing.get_start_method(allow_none=True))\n"
         )
@@ -558,20 +573,19 @@ class TestRun:
         with pytest.raises(AttributeError, match="no_such_name"):
             celerlog.no_such_name
 
-    @pytest.mark.skipif(not pipeline._fork_ready(), reason="needs the fork start method")
+    @needs_fork
     @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to take the pool")
     def test_pool_run_imports_multiprocessing_itself(self, tmp_path):
         # A fresh interpreter that has never imported multiprocessing: the
         # jobs=2 run must import it, take the pool and write the jobs=1 bytes.
         # The pool forks a single-threaded parent: no thread has started yet,
         # and the jobs=1 run joined the ones it started.
-        lines, _ = make_template_corpus(
-            n_lines=pipeline._PARALLEL_THRESHOLD + 500, n_templates=15, n_oneoffs=50, seed=23
-        )
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=23)
         path = write_lines(tmp_path / "in.log", lines)
         script = (
             "import sys, threading\n"
             "from celerlog import RouterConfig, pipeline, run\n"
+            "pipeline._PARALLEL_THRESHOLD = 2500\n"
             "pooled = []\n"
             "mask_on_pool = pipeline._mask_on_pool\n"
             "def recorded(*args):\n"
@@ -639,6 +653,7 @@ class TestRun:
             "copy <*> blocks done", ("1 3",), SOURCE_STATISTICAL
         )
 
+    @pytest.mark.usefixtures("pool_from_2500")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_equal_rows_from_extract_template(self, tmp_path, jobs):
         # The per-content view: one result per distinct message, looked up
