@@ -8,8 +8,8 @@ each index range's skeletons, and the skeletons are passed to ``route()`` in
 record order; otherwise ``route()`` masks them in process. The pool is taken
 only from ``_PARALLEL_THRESHOLD`` records, the measured break-even of two
 workers on 2 vCPUs (its comment holds the table): below it, forking and
-importing the pool cost more than the second worker saves, so of the
-benchmark workloads only dense-40k takes it. ``multiprocessing`` and
+importing the pool cost more than the second worker saves, so none of the
+benchmark workloads takes it. ``multiprocessing`` and
 ``concurrent.futures`` load only on that pool path, in ``_mask_on_pool``.
 
 The phases run in order on the calling thread: every dense group gets its
@@ -40,16 +40,17 @@ from __future__ import annotations
 
 import csv
 import gc
-import io
 import json
 import os
 from collections import Counter
+from itertools import chain, repeat
+from operator import add
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import llm, statistical
-from .masking import compile_header_pattern, mask_message, strip_header
+from .masking import compile_header_pattern, skeleton, strip_header
 from .model import (
     ConfigError,
     CostLedger,
@@ -62,20 +63,22 @@ from .routing import RoutingStats, route
 
 #: Below this many records the masking pool costs more than it saves. It is
 #: the break-even of the two-worker pool on 2 vCPUs: fresh processes timed
-#: ``_mask_on_pool(records[:n], 2)`` against masking the same records in
-#: process, 6 alternating pairs per size and sweep, on the benchmark's
-#: dense-40k records (seed 1). Pool wins per sweep, and the medians of all
-#: pairs in ms (pool / in process):
+#: ``_mask_on_pool(records, 2)`` against masking the same records in process,
+#: 6 alternating pairs per size and sweep, on corpora shaped like the
+#: benchmark's dense-40k (``CorpusSpec(n, 50, n // 200, (4, 54))``, seed 1).
+#: Pool wins per sweep, and the medians of all pairs in ms (pool / in
+#: process):
 #:
-#:   n        4k    8k    12k   16k   20k   24k   28k   32k   36k   40k
-#:   wins     0,0,0 1,0,2 3,0,3 2,3,0 4,3,6 4,2,4 5,6   5,3   6,5   5,6
-#:   pool     65    99    100   117   159   197   205   249   269   259
-#:   process  33    87    100   109   194   197   306   286   386   376
+#:   n        20k   30k   40k   50k   60k     70k   80k   90k   100k
+#:   wins     1,1,1 2,3,0 2,4,1 6,6,3 5,3,4,5 6,4,3 4,5,4 4,5,5 6,4,5
+#:   pool     109   130   139   168   191     250   287   277   290
+#:   process  99    109   132   168   198     249   281   288   335
 #:
-#: 28,000 is the smallest size at which the pool won at least five pairs in
-#: six (11 of 12). On mixed-20k records it won 0, 0, 0, 2 and 4 of 6 at
-#: 4k-20k.
-_PARALLEL_THRESHOLD = 28_000
+#: 50,000 is the smallest size at which the pool won at least five pairs in
+#: six (15 of 18). Above it the pool wins most pairs, but its median gain is
+#: small up to 100,000 records: masking by plan (``masking.skeleton``) left
+#: little for a second worker to take over.
+_PARALLEL_THRESHOLD = 50_000
 
 #: structured.csv rows joined per write. A jobs=1 run over the benchmark's
 #: sparse-llm corpus (seed 1) peaked at 25.3 MB of RSS (its own ``VmHWM``)
@@ -126,10 +129,10 @@ def ingest(
         raise ConfigError(f"input file not found: {path}")
     compiled = compile_header_pattern(header_pattern) if header_pattern else None
 
-    # Neither the bytes nor, on the raw path, the decoded text outlives the
-    # step that needs it: holding the bytes, the text and the lines together
-    # peaked at about 3.8 times the file size. U+FFFD characters already in
-    # the file decode as themselves and are not decode errors.
+    # Neither the bytes nor the decoded text outlives the step that needs it:
+    # holding the bytes, the text and the lines together peaked at about 3.8
+    # times the file size. U+FFFD characters already in the file decode as
+    # themselves and are not decode errors.
     data = path.read_bytes()
     valid_replacements = data.count("\ufffd".encode())
     text = data.decode("utf-8-sig", errors="replace")
@@ -154,8 +157,18 @@ def ingest(
             records.append(LogRecord(len(records), content))
     elif input_format == "csv":
         # One blank per row: an empty line, or a row whose Content is blank or
-        # missing. Line breaks inside a quoted field belong to its row.
-        reader = csv.reader(io.StringIO(text))
+        # missing. Line breaks inside a quoted field belong to its row. The
+        # reader gets the lines a StringIO of the text would yield, split at
+        # "\n" only and each keeping it, without that StringIO's copy of the
+        # text at 4 bytes a character. The lines are reversed behind a None
+        # and popped as the reader takes them, so each is freed once read.
+        lines = text.split("\n")
+        del text
+        last = lines.pop()
+        lines.append(None)
+        lines.reverse()
+        taken = map(add, iter(lines.pop, None), repeat("\n"))
+        reader = csv.reader(chain(taken, [last] if last else ()))
         try:
             header = next(reader, None)
             if header is None or "Content" not in header:
@@ -197,8 +210,9 @@ def _pool_workers(count: int, jobs: int) -> int:
     return 1
 
 
-def _skeleton(content: str) -> str:
-    return mask_message(content)[0]
+#: The per-record call of ``_mask_range``, a name of this module so that a
+#: test can replace it.
+_skeleton = skeleton
 
 
 def _keep_records(records: Sequence[LogRecord]) -> None:

@@ -25,7 +25,7 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .masking import extract_verbs, mask_message
+from .masking import extract_verbs, skeleton
 from .model import (
     DenseGroup,
     InternalInvariantError,
@@ -80,7 +80,7 @@ def group_by_skeleton(
     members: dict[str, set[str]] = {}
     record_ids: dict[str, list[int]] = {}
     for index, record in enumerate(records):
-        key = skeletons[index] if skeletons is not None else mask_message(record.content)[0]
+        key = skeletons[index] if skeletons is not None else skeleton(record.content)
         if key in members:
             members[key].add(record.content)
             record_ids[key].append(record.line_id)

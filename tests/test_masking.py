@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 import celerlog
 from celerlog import masking
 from celerlog.masking import (
+    _PLAN_CACHE,
+    _PLAN_CACHE_CHARS,
     _SHAPE_CACHE,
     _TOKEN_CACHE,
     _TOKEN_CACHE_SIZE,
+    MASK_TOKEN_SET,
     EmptyMessageError,
     compile_header_pattern,
     default_mask_rules,
@@ -19,6 +23,7 @@ from celerlog.masking import (
     extract_verbs,
     mask_message,
     mask_token,
+    skeleton,
     strip_header,
 )
 from celerlog.model import ConfigError, LogRecord, RouterConfig
@@ -228,6 +233,45 @@ def test_every_cache_is_bounded():
     _TOKEN_CACHE.clear()
     for token in ("0x1f", "0xg1", "1x2", "OK", "(s)", "A7A", "AAAAAAA7", "user=7"):
         assert mask_token(token) == naive_mask_token(token)
+    # The plan cache in front of them too: each message below has a shape of
+    # its own, and is masked a second time from the plan that leaves.
+    _PLAN_CACHE.clear()
+    for number in range(2 * _TOKEN_CACHE_SIZE + 1):
+        message = f"job ({number:014b}) done".translate(str.maketrans("01", "A7"))
+        for _ in range(3):
+            assert skeleton(message) == naive_skeleton(message)
+        assert has_plan(message)
+        assert len(_PLAN_CACHE) <= _TOKEN_CACHE_SIZE
+    assert len(_PLAN_CACHE) <= _TOKEN_CACHE_SIZE // 2
+    for message in ("job (AAAAAAAAAAAAA7) done", "id 0x1f", "job 7 (s)"):
+        assert skeleton(message) == naive_skeleton(message)
+
+
+def test_plan_cache_is_bounded_by_characters():
+    # Long lines of the costliest kind, single letters between single digits,
+    # each of a shape of its own and masked twice, so that it leaves a plan:
+    # twice the characters the plan cache holds, about 35 bytes of plan per
+    # character if it kept them all.
+    count = 2 * _PLAN_CACHE_CHARS // 10_000 + 1
+    lines = []
+    for number in range(count):
+        tokens = ["a", "1"] * 2_500
+        tokens[number] = "B"
+        lines.append(" ".join(tokens))
+    skeleton(lines[0])
+    _PLAN_CACHE.clear()
+    tracemalloc.start()
+    try:
+        for line in lines:
+            skeleton(line)
+            skeleton(line)
+            assert _PLAN_CACHE.chars <= _PLAN_CACHE_CHARS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(_PLAN_CACHE) < count
+    assert peak < 45 * _PLAN_CACHE_CHARS, f"masking long lines peaked at {peak / 1e6:.1f} MB"
+    assert skeleton(lines[-1]) == naive_skeleton(lines[-1])
 
 
 def test_regex_runs_once_per_token_shape(monkeypatch):
@@ -254,6 +298,184 @@ def test_regex_runs_once_per_token_shape(monkeypatch):
     _, _, stats = route([LogRecord(i, line) for i, line in enumerate(lines)], RouterConfig())
     assert stats.dense_records + stats.sparse_records == len(lines)
     assert 0 < len(calls) <= len(shapes)
+
+
+def naive_skeleton(content):
+    """The skeleton as masking each token alone gives it."""
+    return " ".join(naive_mask_token(token) for token in content.split())
+
+
+def takes_plan(content):
+    """Whether ``skeleton`` keeps a plan for the content's shape: ASCII, no
+    designated token, tokens separated by single spaces."""
+    return (
+        content.isascii()
+        and not any(mask in content for mask in MASK_TOKEN_SET)
+        and " ".join(content.split()) == content
+    )
+
+
+def has_plan(content):
+    """Whether ``skeleton`` would mask the content from a plan in the cache."""
+    return takes_plan(content) and bool(_PLAN_CACHE.get(masking._shape(content)))
+
+
+def sibling(content, rng):
+    """A message of the content's shape, drawn by ``rng``.
+
+    Inside a hex run every digit after ``0x`` becomes any hex digit. Outside
+    runs, ``0``, ``x``, ``X`` and every character that is not a letter or a
+    digit stay; the other digits and letters move within ``HEX_CLASSES``,
+    which keep case and whether a character is a hex digit, so the runs stay
+    where they are.
+    """
+    parts = re.split(r"(0[xX][0-9A-Fa-f]+)", content)
+    for index, part in enumerate(parts):
+        if index % 2:
+            parts[index] = part[:2] + "".join(
+                rng.choice("0123456789abcdefABCDEF") for _ in part[2:]
+            )
+        else:
+            parts[index] = "".join(
+                next((rng.choice(chars) for chars in HEX_CLASSES if char in chars), char)
+                for char in part
+            )
+    return "".join(parts)
+
+
+# Pieces of whole messages: hex runs, bare hex prefixes, zeros, signs,
+# brackets, trailing punctuation, percent signs, delimiters, designated
+# tokens, and separators that are mostly one space. Other separators, and
+# spaces at either end, send a message past the plan cache.
+MESSAGE_PIECES = st.sampled_from(
+    ["0x", "0X", "0x1f", "0XaB", "-0x7", "0", "00", "7", "a", "f", "g", "G", "F", "x", "X",
+     "+", "-", "(", "[", "<", ")", "]", ">", ",", ":", ".", "!", "%", "%s", "/", "=", "_",
+     "<NUM>", "<*>", " ", " ", " ", " ", " ", " ", "  ", "\t", "\x1f", "é", "٣", "\xa0"]
+)
+messages_strategy = st.lists(MESSAGE_PIECES, min_size=1, max_size=12).map("".join).filter(
+    str.split
+)
+
+
+@st.composite
+def message_lists(draw):
+    """Messages in masking order, some of them siblings of earlier ones, so
+    that later messages hit plans that earlier, different ones left."""
+    contents = draw(st.lists(messages_strategy, min_size=1, max_size=8))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 4))):
+        contents.append(sibling(rng.choice(contents), rng))
+    return contents
+
+
+message_lists_strategy = message_lists()
+
+
+def reuses_plan(contents):
+    """Whether a content is masked from the plan that earlier, different ones left."""
+    _PLAN_CACHE.clear()
+    for index, content in enumerate(contents):
+        if has_plan(content) and content not in contents[:index]:
+            return True
+        skeleton(content)
+    return False
+
+
+class TestSkeletonAgainstOracle:
+    @settings(max_examples=examples(2000), deadline=None)
+    @given(message_lists_strategy, st.randoms(use_true_random=False))
+    def test_equals_naive_mask_per_token(self, contents, rng):
+        # Later contents may hit plans that earlier ones left. Each content is
+        # masked twice, which leaves its plan, and then a sibling of its shape
+        # must be masked from that plan.
+        _PLAN_CACHE.clear()
+        for content in contents:
+            for _ in range(2):
+                assert skeleton(content) == naive_skeleton(content)
+            assert has_plan(content) == takes_plan(content)
+            similar = sibling(content, rng)
+            if takes_plan(content):
+                assert has_plan(similar)
+            assert skeleton(similar) == naive_skeleton(similar)
+
+    @pytest.mark.parametrize(
+        "first, second, shared",
+        [
+            ("id 0x1f to 0XaB", "id 0xc9 to 0X0e", True),
+            ("bad 0xg", "bad 5xg", True),
+            ("bad 0xg", "bad 0xa", False),
+            ("+0x1f", "+0xab", True),
+            ("+0x1f", "a0x1f", False),
+            ("at 00x1f", "at 70xab", True),
+            ("at 00x1f", "at 0x1f0", False),
+            ("load 50% a1% (7%) %s", "load 75% b9% (3%) %d", True),
+            ("(0x1f0x2),", "(0xabcx9),", True),
+        ],
+        ids=["hex-digits-swapped", "hex-prefix-alone", "hex-prefix-alone-vs-run",
+             "signed-hex", "signed-hex-vs-letter", "double-zero-hex",
+             "double-zero-hex-vs-run", "percent", "two-prefixes"],
+    )
+    def test_sibling_cases(self, first, second, shared):
+        _PLAN_CACHE.clear()
+        for _ in range(2):
+            assert skeleton(first) == naive_skeleton(first)
+        assert len(_PLAN_CACHE) == 1
+        assert has_plan(first)
+        assert has_plan(second) == shared
+        assert skeleton(second) == naive_skeleton(second)
+
+    @pytest.mark.parametrize(
+        "content",
+        ["job\t7 done", "job  7 done", " job 7 done", "job 7 done ", "job\x1f7 done",
+         "job é 7", "job ٣ done", "job\xa07 done", "job <NUM> 7", "job <ABC> 7"],
+        ids=["tab", "double-space", "leading-space", "trailing-space", "unit-separator",
+             "e-acute", "arabic-indic-digit", "no-break-space", "designated-token",
+             "bracketed-capitals"],
+    )
+    def test_fallback_cases(self, content):
+        # These take the token path every time and leave no plan, except the
+        # last, a sibling of the designated token that must not be reused for it.
+        _PLAN_CACHE.clear()
+        for _ in range(3):
+            assert skeleton(content) == naive_skeleton(content)
+        assert has_plan(content) == takes_plan(content)
+        assert skeleton("job <NUM> 7") == naive_skeleton("job <NUM> 7")
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            reuses_plan,
+            lambda contents: any(re.search(r"0[xX][0-9A-Fa-f]", c) for c in contents),
+            lambda contents: any(re.search(r"0[xX]([^0-9A-Fa-f]|$)", c) for c in contents),
+            lambda contents: any(
+                re.search(r"(^| )[+-]0[xX][0-9A-Fa-f]+( |$)", c) for c in contents
+            ),
+            lambda contents: any(re.search(r"[A-Za-z]0[xX][0-9A-Fa-f]", c) for c in contents),
+            lambda contents: any(re.search(r"00[xX][0-9A-Fa-f]", c) for c in contents),
+            lambda contents: any(
+                "%" in t and naive_mask_token(t) != t for c in contents for t in c.split()
+            ),
+            lambda contents: any(
+                "%" in t and naive_mask_token(t) == t for c in contents for t in c.split()
+            ),
+            lambda contents: any("<NUM>" in c and takes_plan(c.replace("<NUM>", "<ABC>"))
+                                 for c in contents),
+            lambda contents: any("\t" in c for c in contents),
+            lambda contents: any("  " in c.strip() for c in contents),
+            lambda contents: any(c[0] == " " for c in contents),
+            lambda contents: any(c[-1] == " " for c in contents),
+            lambda contents: any(not c.isascii() for c in contents),
+        ],
+        ids=["plan-reused", "hex-run", "hex-prefix-alone", "signed-hex", "hex-after-letter",
+             "double-zero-hex", "percent-masked", "percent-kept", "designated-token",
+             "tab", "double-space", "leading-space", "trailing-space", "non-ascii"],
+    )
+    def test_generator_covers(self, feature):
+        find(
+            message_lists_strategy,
+            feature,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
 
 
 class TestMaskMessage:
