@@ -1,39 +1,31 @@
 """End-to-end orchestration: ingest, route, process, write outputs.
 
-``run()`` takes the same path at every ``jobs`` value. Routing goes through
-``routing.route()``, the one routing path. When ``_pool_workers`` allows
-more than one worker, the record contents are masked on a fork-context
-process pool (``_mask_on_pool``), which inherits the records and sends back
-each index range's skeletons, and the skeletons are passed to ``route()`` in
-record order; otherwise ``route()`` masks them in process. The pool is taken
-only from ``_PARALLEL_THRESHOLD`` records, the measured break-even of two
-workers on 2 vCPUs (its comment holds the table): below it, forking and
-importing the pool cost more than the second worker saves, so none of the
-benchmark workloads takes it. ``multiprocessing`` and
-``concurrent.futures`` load only on that pool path, in ``_mask_on_pool``.
+``run()`` takes the same path at every ``jobs`` value and routes through
+``routing.route()``, the one routing path. Its phases run in order on the
+calling thread: masking and grouping, then every dense group's template and
+reader of its messages (``statistical.read_columns``), then
+``llm.process_sparse`` for the sparse groups, so a dense-side error raises
+before any LLM request is sent. Threads start only inside
+``process_sparse``, none at ``jobs=1``, and all are joined before it returns
+or raises. The rows are a lazy sequence (``_Rows``) in record order: each
+row is built, its message split and its parameters read, only when it is
+read, so no row outlives its write.
 
-The phases run in order on the calling thread: every dense group gets its
-template and a reader of its messages (``statistical.read_columns``), then
-``llm.process_sparse`` sends the sparse groups to the backend. Neither side
-reads the other's results, so the order cannot change the output, and a
-dense-side error raises before any LLM request is sent. Threads start only
-inside ``process_sparse``, none at ``jobs=1``, and all are joined before it
-returns or raises. The template catalog is counted per group. The rows are
-a lazy sequence (``_Rows``) in record order: each row is built, its message
-split and its parameters read, only when it is read, so no row outlives its
-write and output bytes never depend on the worker count.
+When ``_fork_width`` allows, masking and formatting the rows of
+structured.csv run in forked children over contiguous index ranges
+(``_fork_ranges``). The children inherit the records and the readers
+unpickled and leave each range's result in an unlinked temporary file; the
+parent works the first range, then takes the others in record order and
+works the range of any child that failed itself. So the bytes, and any
+error, are those of ``jobs=1``.
 
 The cyclic garbage collector is off while ``run()`` computes, from ingest
 through writing: those phases allocate millions of objects that hold no
-cycles, and each collection traverses the live ones. On dense-40k the
-collector took about a tenth of a run, in 340 collections. When the caller
-had it on, it comes back on only around the ``process_sparse`` call, which
-mostly waits and whose failed requests do leave cycles: with the collector
-off, 50 refused ``HttpBackend`` requests to 127.0.0.1 left 5,550 objects of
-cyclic garbage (111 each), while 200 answered ones left none. So a long HTTP
-run still collects. ``run()`` restores the caller's setting however it
-exits. The pool's workers are forked while it is off, and a forked process
-inherits the collector state, so they mask with it off too.
+cycles, and on dense-40k the collector took about a tenth of a run. When the
+caller had it on, it comes back on only around ``process_sparse``, which
+mostly waits and whose failed requests do leave cycles (111 objects each).
+``run()`` restores the caller's setting however it exits. The children are
+forked with it off, and inherit that state.
 """
 
 from __future__ import annotations
@@ -41,44 +33,39 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import marshal
 import os
+import shutil
+import tempfile
+import threading
 from collections import Counter
+from contextlib import suppress
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import llm, statistical
 from .masking import compile_header_pattern, skeleton, strip_header
 from .model import (
-    ConfigError,
-    CostLedger,
-    InternalInvariantError,
-    LogRecord,
-    RouterConfig,
-    TemplateResult,
+    ConfigError, CostLedger, InternalInvariantError, LogRecord, RouterConfig, TemplateResult
 )
 from .routing import RoutingStats, route
 
-#: Below this many records the masking pool costs more than it saves. It is
-#: the break-even of the two-worker pool on 2 vCPUs: fresh processes timed
-#: ``_mask_on_pool(records, 2)`` against masking the same records in process,
-#: 6 alternating pairs per size and sweep, on corpora shaped like the
-#: benchmark's dense-40k (``CorpusSpec(n, 50, n // 200, (4, 54))``, seed 1).
-#: Pool wins per sweep, and the medians of all pairs in ms (pool / in
-#: process):
+#: Below this many records forking costs more than it saves. Fresh processes
+#: timed ``run(jobs=2)`` forking against in process on 2 vCPUs, on corpora
+#: ``CorpusSpec(n, 50, n // 200, (4, 54))`` (seed 1), 48-96 alternating pairs
+#: a size in rounds that ran one pair at every size. Pairs that forking won,
+#: and the median per pair of its time over the time in process:
 #:
-#:   n        20k   30k   40k   50k   60k     70k   80k   90k   100k
-#:   wins     1,1,1 2,3,0 2,4,1 6,6,3 5,3,4,5 6,4,3 4,5,4 4,5,5 6,4,5
-#:   pool     109   130   139   168   191     250   287   277   290
-#:   process  99    109   132   168   198     249   281   288   335
+#:   n      4k    6k    8k    10k   12k   14k   16k   20k   25k   40k
+#:   won    35%   52%   55%   71%   59%   82%   62%   67%   71%   67%
+#:   ratio  1.05  0.99  0.97  0.90  0.95  0.93  0.93  0.93  0.90  0.92
 #:
-#: 50,000 is the smallest size at which the pool won at least five pairs in
-#: six (15 of 18). Above it the pool wins most pairs, but its median gain is
-#: small up to 100,000 records: masking by plan (``masking.skeleton``) left
-#: little for a second worker to take over.
-_PARALLEL_THRESHOLD = 50_000
+#: 10,000 is the smallest size from which forking won at least three pairs
+#: in five at every size measured.
+_PARALLEL_THRESHOLD = 10_000
 
 #: structured.csv rows joined per write. A jobs=1 run over the benchmark's
 #: sparse-llm corpus (seed 1) peaked at 25.3 MB of RSS (its own ``VmHWM``)
@@ -111,9 +98,7 @@ class RunResult(NamedTuple):
 
 
 def ingest(
-    path: str | Path,
-    input_format: str = "raw",
-    header_pattern: str | None = None,
+    path: str | Path, input_format: str = "raw", header_pattern: str | None = None
 ) -> tuple[list[LogRecord], IngestStats]:
     """Read records from a raw log file or a structured CSV.
 
@@ -198,80 +183,83 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_workers(count: int, jobs: int) -> int:
-    """How many processes mask ``count`` records; 1 means in process.
-
-    The pool is taken from ``_PARALLEL_THRESHOLD`` records where ``os.fork``
-    exists, when ``jobs`` and the usable CPUs both exceed 1. It never has more
-    workers than usable CPUs, which would only take turns.
+def _fork_width(count: int, jobs: int) -> int:
+    """How many processes work ``count`` records, 1 meaning in process:
+    ``min(jobs, usable CPUs)`` from ``_PARALLEL_THRESHOLD`` records where
+    ``os.fork`` exists, while the process has one thread. A child holds only
+    the forking thread, so a lock another thread held would stay held in it.
     """
-    if count >= _PARALLEL_THRESHOLD and hasattr(os, "fork"):
+    if count >= _PARALLEL_THRESHOLD and hasattr(os, "fork") and threading.active_count() == 1:
         return min(jobs, _usable_cpus())
     return 1
 
 
-#: The per-record call of ``_mask_range``, a name of this module so that a
+def _fork_ranges(count: int, workers: int, save: Callable, take: Callable) -> None:
+    """Work ``[0, count)`` in ``workers`` contiguous ranges, each but the first
+    in a forked child, which calls ``save(start, stop, file)`` and exits.
+
+    The parent then calls ``take(start, stop, file)`` per range in record
+    order, with the child's file once reaped, or with None where it works the
+    range itself: the first, and that of a child that failed or was never
+    forked. If the parent raises, its children are killed.
+    """
+    step = max(1, -(-count // workers))
+    bounds = [(start, min(start + step, count)) for start in range(0, max(count, 1), step)]
+    children: list[tuple[int | None, BinaryIO | None]] = []
+    try:
+        for start, stop in bounds[1:]:
+            pid = file = None
+            with suppress(OSError):
+                file = tempfile.TemporaryFile()
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    save(start, stop, file)
+                    file.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append((pid, file))
+        take(*bounds[0], None)
+        for index, ((start, stop), (pid, file)) in enumerate(zip(bounds[1:], children)):
+            done = pid is not None and os.waitpid(pid, 0)[1] == 0
+            children[index] = (None, file)
+            if done:
+                file.seek(0)
+            take(start, stop, file if done else None)
+    finally:
+        for pid, file in children:
+            if pid is not None:
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            if file is not None:
+                file.close()
+
+
+#: The per-record call of ``_mask_forked``, a name of this module so that a
 #: test can replace it.
 _skeleton = skeleton
 
 
-def _keep_records(records: Sequence[LogRecord]) -> None:
-    """Pool initializer: the records a forked worker masks by index range."""
-    global _worker_records
-    _worker_records = records
-
-
-def _mask_range(bounds: tuple[int, int]) -> list[str]:
-    """The skeletons of the worker's records ``start:stop``, each distinct one
-    a single object, so pickle sends it once and the parent shares it."""
-    start, stop = bounds
+def _mask_forked(records: Sequence[LogRecord], workers: int) -> list[str]:
+    """The records' skeletons in record order, one object per distinct one,
+    which a child's marshalled range also writes and loads once."""
     seen: dict[str, str] = {}
-    skeletons = []
-    for _, content in _worker_records[start:stop]:
-        key = _skeleton(content)
-        skeletons.append(seen.setdefault(key, key))
-    return skeletons
+    skeletons: list[str] = []
 
+    def mask(start, stop):
+        keys = [_skeleton(content) for _, content in records[start:stop]]
+        return list(map(seen.setdefault, keys, keys))
 
-def _mask_on_pool(records: Sequence[LogRecord], workers: int) -> list[str]:
-    """Mask record contents on a fork-context pool of ``workers`` processes.
+    def save(start, stop, file):
+        marshal.dump(mask(start, stop), file)
 
-    ``workers`` comes from ``_pool_workers``. They are forked from ``run()``
-    with the cyclic collector off, and inherit that state. The records reach
-    them through the pool's initializer, which a forked worker inherits
-    unpickled, so each call sends an index range, about four per worker, and
-    returns that range's skeletons (``_mask_range``). ``Executor.map`` yields
-    the ranges in record order, independent of completion order. The first
-    failed range in record order raises at once, cancelling the ranges not
-    yet started and without waiting for the running ones.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    def take(start, stop, file):
+        part = marshal.load(file) if file else mask(start, stop)
+        skeletons.extend(map(seen.setdefault, part, part))
 
-    count = len(records)
-    step = max(1, -(-count // (workers * 4)))
-    ranges = [(start, min(start + step, count)) for start in range(0, count, step)]
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_keep_records,
-        initargs=(records,),
-    )
-    try:
-        # Every range is submitted here, so the OSError of a failed fork
-        # passes through unwrapped.
-        mapped = pool.map(_mask_range, ranges)
-        skeletons: list[str] = []
-        try:
-            for part in mapped:
-                skeletons.extend(part)
-        except Exception as exc:
-            raise InternalInvariantError(f"masking worker failed: {exc}") from exc
-    except BaseException:
-        # A context manager would wait here for every submitted range.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown()
+    _fork_ranges(len(records), workers, save, take)
     return skeletons
 
 
@@ -281,18 +269,15 @@ class _Rows(Sequence[ParsedRecord]):
     ``readers[i]`` returns the result of record ``i``'s content: a dense
     group's reader (``statistical.read_columns``), which splits the message
     and reads its parameters, or the lookup into the sparse results. So the
-    rows cost memory only while they are written.
+    rows cost memory only while they are written. ``jobs`` is the run's.
     """
 
-    __slots__ = ("_records", "_readers")
+    __slots__ = ("_records", "_readers", "jobs")
 
-    def __init__(
-        self,
-        records: Sequence[LogRecord],
-        readers: Sequence[Callable[[str], TemplateResult]],
-    ) -> None:
+    def __init__(self, records: Sequence[LogRecord], readers: Sequence[Callable], jobs: int):
         self._records = records
         self._readers = readers
+        self.jobs = jobs
 
     def __len__(self) -> int:
         return len(self._records)
@@ -304,7 +289,11 @@ class _Rows(Sequence[ParsedRecord]):
         return ParsedRecord(line_id, content, self._readers[index](content))
 
     def __iter__(self) -> Iterator[ParsedRecord]:
-        for (line_id, content), read in zip(self._records, self._readers):
+        return self.span(0, len(self._records))
+
+    def span(self, start: int, stop: int) -> Iterator[ParsedRecord]:
+        records, readers = self._records[start:stop], self._readers[start:stop]
+        for (line_id, content), read in zip(records, readers):
             yield ParsedRecord(line_id, content, read(content))
 
 
@@ -328,11 +317,11 @@ def run(
     try:
         records, ingest_stats = ingest(input_path, input_format, header_pattern)
         ledger = CostLedger()
-        workers = _pool_workers(len(records), config.jobs)
+        workers = _fork_width(len(records), config.jobs)
         # The skeletons go straight into route(), so they die when it returns
         # instead of living through extraction and writing.
         dense, sparse, routing_stats = route(
-            records, config, _mask_on_pool(records, workers) if workers > 1 else None
+            records, config, _mask_forked(records, workers) if workers > 1 else None
         )
         ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
@@ -362,18 +351,12 @@ def run(
             raise InternalInvariantError(
                 f"record {readers.index(None)} missing from routing output"
             )
-        rows = _Rows(records, readers)
+        rows = _Rows(records, readers, config.jobs)
 
         if out_dir is not None:
             write_output(
-                rows,
-                catalog,
-                ledger,
-                out_dir,
-                config=config,
-                routing=routing_stats,
-                ingest_stats=ingest_stats,
-                started_at=started_at,
+                rows, catalog, ledger, out_dir, config=config, routing=routing_stats,
+                ingest_stats=ingest_stats, started_at=started_at,
             )
         ledger.set_wall_time(perf_counter() - started_at)
         return RunResult(
@@ -434,19 +417,14 @@ class _Lines(list):
     write = list.append
 
 
-def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord]) -> None:
-    """Write the structured.csv bytes that ``csv.writer`` would write.
-
-    A row whose fields are all plain (``_is_plain``) is formatted directly;
-    every other row goes through ``csv.writer``, so its bytes, or its error,
-    are ``csv.writer``'s on every Python version. Whether a template is plain
-    is decided once per distinct template. Rows reach the file
-    ``_ROWS_PER_WRITE`` at a time, so the buffer stays small however many rows
-    there are.
-    """
+def _write_rows(write: Callable[[str], object], rows: Iterable[ParsedRecord]) -> None:
+    """Pass ``write`` the structured.csv lines of ``rows``, ``_ROWS_PER_WRITE``
+    at a time, as ``csv.writer`` would write them: a row whose fields are all
+    plain (``_is_plain``) is formatted directly, every other one, its bytes or
+    its error, by ``csv.writer`` on every Python version. Whether a template
+    is plain is decided once per template."""
     lines = _Lines()
     quoted = csv.writer(lines, lineterminator="\n")
-    quoted.writerow(["LineId", "Content", "EventTemplate", "Parameters"])
     plain_templates: dict[str, bool] = {}
     for line_id, content, (template, values, _) in rows:
         plain = plain_templates.get(template)
@@ -458,9 +436,31 @@ def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord]) -> None:
         else:
             quoted.writerow([line_id, content, template, parameters])
         if len(lines) >= _ROWS_PER_WRITE:
-            handle.write("".join(lines))
+            write("".join(lines))
             lines.clear()
-    handle.write("".join(lines))
+    write("".join(lines))
+
+
+def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord]) -> None:
+    """Write structured.csv's header, then its rows: a run's (``_Rows``) in
+    forked children where ``_fork_width`` allows, whose encoded lines the
+    parent appends to ``handle``'s bytes; any other rows in process."""
+    handle.write("LineId,Content,EventTemplate,Parameters\n")
+    if not isinstance(rows, _Rows):
+        _write_rows(handle.write, rows)
+        return
+
+    def save(start, stop, file):
+        _write_rows(lambda text: file.write(text.encode()), rows.span(start, stop))
+
+    def take(start, stop, file):
+        if file is None:
+            _write_rows(handle.write, rows.span(start, stop))
+        else:
+            handle.flush()
+            shutil.copyfileobj(file, handle.buffer)
+
+    _fork_ranges(len(rows), _fork_width(len(rows), rows.jobs), save, take)
 
 
 def write_output(

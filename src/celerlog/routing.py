@@ -13,9 +13,9 @@ tree).
 
 ``route()`` is the one routing path, for library callers and ``pipeline.run``
 alike. It takes optional precomputed skeletons, which ``pipeline.run`` fills
-from its masking pool on large inputs, merges the buckets in length order and
-builds the ``RoutingStats``; a failing bucket fails the run with its length
-named.
+from forked masking processes on large inputs, merges the buckets in length
+order and builds the ``RoutingStats``; a failing bucket fails the run with its
+length named.
 """
 
 from __future__ import annotations

@@ -10,15 +10,16 @@ import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import celerlog
-from celerlog import llm, pipeline, statistical
+from celerlog import llm, pipeline, routing, statistical
 from celerlog.llm import BackendResponse, MockBackend
-from celerlog.masking import mask_message
+from celerlog.masking import mask_message, skeleton
 from celerlog.model import (
     SOURCE_LLM,
     SOURCE_ROLLBACK,
@@ -55,10 +56,45 @@ def write_lines(path, lines):
 
 
 @pytest.fixture
-def pool_from_2500(monkeypatch):
-    """Lets run() take the masking pool for the 2,500-record test corpora,
-    which lie below the measured threshold."""
+def fork_from_2500(monkeypatch):
+    """Lets run() fork for the 2,500-record test corpora, which lie below the
+    measured threshold."""
     monkeypatch.setattr(pipeline, "_PARALLEL_THRESHOLD", 2500)
+
+
+@pytest.fixture
+def fork_log(monkeypatch):
+    """Records each temporary file that pipeline opens and the exit status of
+    each child that it reaps, in order."""
+    log = SimpleNamespace(files=[], statuses=[])
+    waitpid, temporary_file = os.waitpid, tempfile.TemporaryFile
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        log.statuses.append(reaped[1])
+        return reaped
+
+    def recorded_file(*args, **kwargs):
+        log.files.append(temporary_file(*args, **kwargs))
+        return log.files[-1]
+
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded_file)
+    return log
+
+
+def assert_clean(log):
+    """No child of this process is left, reaped or not, and every temporary
+    file that pipeline opened is closed."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert all(file.closed for file in log.files)
+
+
+def forks(jobs):
+    """Whether run(jobs=jobs) forks for a corpus from the threshold on."""
+    usable = pipeline._usable_cpus() > 1 and threading.active_count() == 1
+    return jobs > 1 and hasattr(os, "fork") and usable
 
 
 def stringio_csv_ingest(path):
@@ -259,21 +295,49 @@ class TestRunMemory:
         assert peak < 4.0 * path.stat().st_size
 
 
-def _fail_marked_record(release, content):
-    """Fail the marker record at once; hold every other one until released."""
-    if content == "marker record":
-        raise ValueError("marked record failed")
-    deadline = time.monotonic() + 3.0
-    while not release.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return content
+def _checked(check, function):
+    """``function``, calling ``check`` on its argument first."""
+
+    def checked(content):
+        check(content)
+        return function(content)
+
+    return checked
 
 
-def _skeleton_collector_off(content):
-    """``pipeline._skeleton``, for a worker that must mask with the collector off."""
-    if gc.isenabled():
-        raise RuntimeError("masking worker has the cyclic collector on")
-    return mask_message(content)[0]
+def _check_masking(check, monkeypatch):
+    """Makes masking call ``check(content)`` first at every jobs value:
+    route() masks through its own name in process."""
+    for module, name in ((pipeline, "_skeleton"), (routing, "skeleton")):
+        monkeypatch.setattr(module, name, _checked(check, skeleton))
+
+
+def _check_reading(check, monkeypatch):
+    """Makes every dense reader call ``check(content)`` first."""
+    read_columns = statistical.read_columns
+
+    def patched(group):
+        template, read = read_columns(group)
+        return template, _checked(check, read)
+
+    monkeypatch.setattr(statistical, "read_columns", patched)
+
+
+def _fails_in_children(parent):
+    """A check that raises in every process but ``parent``."""
+
+    def check(content):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+
+    return check
+
+
+def _note_collector(directory, content):
+    """``pipeline._skeleton`` that leaves a file named for its process and the
+    state of its cyclic collector."""
+    (directory / f"{os.getpid()}-{gc.isenabled()}").touch()
+    return skeleton(content)
 
 
 class _CountedContent(str):
@@ -288,66 +352,82 @@ class _CountedContent(str):
 
 
 class TestPoolWorkers:
+    """How many processes work the records (``pipeline._fork_width``)."""
+
     @needs_fork
     @pytest.mark.parametrize(
-        "count, jobs, cpus, fork, workers",
+        "count, jobs, cpus, fork, threads, workers",
         [
-            (pipeline._PARALLEL_THRESHOLD - 1, 8, {0, 1}, True, 1),
-            (pipeline._PARALLEL_THRESHOLD, 8, {0}, True, 1),
-            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, False, 1),
-            (pipeline._PARALLEL_THRESHOLD, 1, {0, 1}, True, 1),
-            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, True, 2),
+            (pipeline._PARALLEL_THRESHOLD - 1, 8, {0, 1}, True, 1, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0}, True, 1, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, False, 1, 1),
+            (pipeline._PARALLEL_THRESHOLD, 1, {0, 1}, True, 1, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, True, 2, 1),
+            (pipeline._PARALLEL_THRESHOLD, 8, {0, 1}, True, 1, 2),
         ],
-        ids=["below-threshold", "one-cpu", "no-fork", "one-job", "capped-at-cpus"],
+        ids=["below-threshold", "one-cpu", "no-fork", "one-job", "two-threads", "capped-at-cpus"],
     )
-    def test_width(self, monkeypatch, count, jobs, cpus, fork, workers):
+    def test_width(self, monkeypatch, count, jobs, cpus, fork, threads, workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(threading, "active_count", lambda: threads)
         if not fork:
             monkeypatch.delattr(os, "fork")
-        assert pipeline._pool_workers(count, jobs) == workers
+        assert pipeline._fork_width(count, jobs) == workers
 
 
 class TestMaskOnPool:
+    """Masking in forked children (``pipeline._mask_forked``)."""
+
     @needs_fork
     @pytest.mark.parametrize("count", [1, 7, 9, 2501])
-    def test_skeletons_match_serial_masking(self, count):
-        # Eight ranges, four per worker, divide none of these counts evenly.
+    def test_skeletons_match_serial_masking(self, fork_log, count):
+        # Two ranges divide neither odd count evenly; one record is one range.
         lines, _ = make_template_corpus(n_lines=2501, n_templates=15, n_oneoffs=50, seed=21)
         records = [LogRecord(index, line) for index, line in enumerate(lines[:count])]
-        assert pipeline._mask_on_pool(records, 2) == [
+        assert pipeline._mask_forked(records, 2) == [
             mask_message(record.content)[0] for record in records
         ]
+        assert fork_log.statuses == ([] if count == 1 else [0])
+        assert_clean(fork_log)
 
     @needs_fork
     def test_repeated_skeletons_in_a_range_are_one_object(self):
-        # 64 records of one skeleton in eight ranges: each range sends it once.
+        # 64 records of one skeleton in two ranges: the parent keeps one object.
         records = [LogRecord(index, f"event {index} done") for index in range(64)]
-        skeletons = pipeline._mask_on_pool(records, 2)
+        skeletons = pipeline._mask_forked(records, 2)
         assert skeletons == ["event <NUM> done"] * 64
-        assert len({id(skeleton) for skeleton in skeletons}) <= 8
+        assert len({id(skeleton) for skeleton in skeletons}) == 1
 
     @needs_fork
     def test_records_reach_workers_unpickled(self, monkeypatch):
         monkeypatch.setattr(_CountedContent, "pickled", [])
         records = [LogRecord(index, _CountedContent(f"event {index} done")) for index in range(64)]
-        assert pipeline._mask_on_pool(records, 2) == ["event <NUM> done"] * 64
+        assert pipeline._mask_forked(records, 2) == ["event <NUM> done"] * 64
         assert _CountedContent.pickled == []
 
     @needs_fork
-    def test_first_failure_raises_without_waiting(self, tmp_path, monkeypatch):
-        # Every record but the marked one holds for up to 3 s, so waiting for
-        # the submitted chunks would take several seconds.
-        release = tmp_path / "release"
-        monkeypatch.setattr(pipeline, "_skeleton", partial(_fail_marked_record, release))
-        contents = ["marker record"] + [f"event {i} done" for i in range(63)]
-        records = [LogRecord(index, content) for index, content in enumerate(contents)]
-        started = time.monotonic()
-        try:
-            with pytest.raises(InternalInvariantError, match="masking worker failed: marked record"):
-                pipeline._mask_on_pool(records, 2)
-            assert time.monotonic() - started < 2.0
-        finally:
-            release.touch()
+    @pytest.mark.parametrize("failure", ["child", "fork", "file"])
+    def test_failed_range_is_worked_in_the_parent(self, monkeypatch, fork_log, failure):
+        # A child that fails, a fork or a temporary file refused: the parent
+        # masks that range itself.
+        lines, _ = make_template_corpus(n_lines=2501, n_templates=15, n_oneoffs=50, seed=21)
+        records = [LogRecord(index, line) for index, line in enumerate(lines)]
+        if failure == "child":
+            check = _fails_in_children(os.getpid())
+            monkeypatch.setattr(pipeline, "_skeleton", _checked(check, skeleton))
+        else:
+
+            def refuse(*args, **kwargs):
+                raise OSError("refused")
+
+            target = {"fork": (os, "fork"), "file": (tempfile, "TemporaryFile")}[failure]
+            monkeypatch.setattr(*target, refuse)
+        assert pipeline._mask_forked(records, 2) == [
+            mask_message(record.content)[0] for record in records
+        ]
+        assert len(fork_log.statuses) == (1 if failure == "child" else 0)
+        assert all(fork_log.statuses)
+        assert_clean(fork_log)
 
 
 class _BrokenBackend:
@@ -427,7 +507,7 @@ class TestRun:
         for row in result.rows:
             assert row.result.token_sequence() == row.content.split()
 
-    @pytest.mark.usefixtures("pool_from_2500")
+    @pytest.mark.usefixtures("fork_from_2500")
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
         path = write_lines(tmp_path / "in.log", lines)
@@ -438,44 +518,39 @@ class TestRun:
                 tmp_path / "out2" / name
             ).read_bytes()
 
-    @pytest.mark.usefixtures("pool_from_2500")
+    @pytest.mark.usefixtures("fork_from_2500")
     @needs_fork
     @pytest.mark.parametrize("cpus, pooled", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "two-cpus"])
     def test_pool_only_with_more_than_one_usable_cpu(self, tmp_path, monkeypatch, cpus, pooled):
         # A process pinned to one CPU (taskset, a container's CPU set) gains
-        # nothing from forking, whatever jobs asks for.
+        # nothing from forking, whatever jobs asks for. With no out_dir only
+        # masking forks.
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
         assert len(lines) >= pipeline._PARALLEL_THRESHOLD
         path = write_lines(tmp_path / "in.log", lines)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         calls = []
-        mask_on_pool = pipeline._mask_on_pool
+        fork_ranges = pipeline._fork_ranges
 
         def recorded(*args):
             calls.append(args)
-            return mask_on_pool(*args)
+            return fork_ranges(*args)
 
-        monkeypatch.setattr(pipeline, "_mask_on_pool", recorded)
+        monkeypatch.setattr(pipeline, "_fork_ranges", recorded)
         run(path, RouterConfig(jobs=4), MockBackend())
         assert len(calls) == pooled
 
-    @pytest.mark.usefixtures("pool_from_2500")
+    @pytest.mark.usefixtures("fork_from_2500")
     @needs_fork
-    @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to take the pool")
+    @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to fork")
     def test_pool_workers_mask_with_collector_off(self, tmp_path, monkeypatch):
-        # run() forks the pool with the collector off, and the workers inherit
-        # that state even when the caller had it on.
+        # run() forks with the collector off, and the children inherit that
+        # state even when the caller had it on.
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
         path = write_lines(tmp_path / "in.log", lines)
-        monkeypatch.setattr(pipeline, "_skeleton", _skeleton_collector_off)
-        calls = []
-        mask_on_pool = pipeline._mask_on_pool
-
-        def recorded(*args):
-            calls.append(args)
-            return mask_on_pool(*args)
-
-        monkeypatch.setattr(pipeline, "_mask_on_pool", recorded)
+        notes = tmp_path / "notes"
+        notes.mkdir()
+        monkeypatch.setattr(pipeline, "_skeleton", partial(_note_collector, notes))
         collecting = gc.isenabled()
         gc.enable()
         try:
@@ -483,9 +558,94 @@ class TestRun:
         finally:
             if not collecting:
                 gc.disable()
-        assert len(calls) == 1
+        noted = [name.split("-") for name in os.listdir(notes)]
+        assert len(noted) == 2 and {state for _, state in noted} == {"False"}
 
-    @pytest.mark.usefixtures("pool_from_2500")
+    @pytest.mark.usefixtures("fork_from_2500")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forked_run_leaves_no_child_and_no_open_file(self, tmp_path, fork_log, jobs):
+        # Masking and writing each fork one child at jobs=2.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        run(path, RouterConfig(jobs=jobs), MockBackend(), out_dir=tmp_path / "out")
+        assert fork_log.statuses == ([0, 0] if forks(jobs) else [])
+        assert len(fork_log.files) == len(fork_log.statuses)
+        assert_clean(fork_log)
+
+    @pytest.mark.usefixtures("fork_from_2500")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "phase, error",
+        [
+            ("mask", ValueError("marked record failed")),
+            ("mask", KeyboardInterrupt("marked record failed")),
+            ("write", ValueError("marked record failed")),
+            ("write", KeyboardInterrupt("marked record failed")),
+        ],
+        ids=["mask-error", "mask-interrupt", "write-error", "write-interrupt"],
+    )
+    @pytest.mark.parametrize("where", ["parent", "child"])
+    def test_failing_range_raises_the_serial_error(
+        self, tmp_path, monkeypatch, fork_log, jobs, phase, error, where
+    ):
+        # The marker opens the parent's range or closes the child's. A child's
+        # failed range is worked again in the parent, which raises the error
+        # that jobs=1 raises; when the parent raises first, its child is
+        # killed. Either way no child and no open file is left.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        marker = lines[0] if where == "parent" else lines[-1]
+        assert lines.count(marker) == 1
+        path = write_lines(tmp_path / "in.log", lines)
+
+        def fail(content):
+            if content == marker:
+                raise error
+
+        (_check_masking if phase == "mask" else _check_reading)(fail, monkeypatch)
+        with pytest.raises(type(error), match="marked record failed"):
+            run(path, RouterConfig(jobs=jobs), MockBackend(), out_dir=tmp_path / "out")
+        if forks(jobs) and where == "child":
+            # The mask child failed, or the mask child succeeded and the
+            # write child failed.
+            assert fork_log.statuses[-1] != 0
+        assert_clean(fork_log)
+
+    @pytest.mark.usefixtures("fork_from_2500")
+    @needs_fork
+    def test_failed_children_are_worked_in_the_parent(self, tmp_path, monkeypatch, fork_log):
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        run(path, RouterConfig(jobs=1), MockBackend(), out_dir=tmp_path / "out1")
+        fail = _fails_in_children(os.getpid())
+        _check_masking(fail, monkeypatch)
+        _check_reading(fail, monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run(path, RouterConfig(jobs=2), MockBackend(), out_dir=tmp_path / "out2")
+        assert len(fork_log.statuses) == 2 and all(fork_log.statuses)
+        for name in ("structured.csv", "templates.csv"):
+            assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+        assert_clean(fork_log)
+
+    @pytest.mark.usefixtures("fork_from_2500")
+    def test_live_thread_keeps_run_in_process(self, tmp_path, fork_log):
+        # A child holds only the forking thread, so a library caller's live
+        # thread keeps masking and writing in process, with the same bytes.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        run(path, RouterConfig(jobs=1), MockBackend(), out_dir=tmp_path / "out1")
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait)
+        helper.start()
+        try:
+            run(path, RouterConfig(jobs=2), MockBackend(), out_dir=tmp_path / "out2")
+        finally:
+            stop.set()
+            helper.join()
+        assert fork_log.files == [] and fork_log.statuses == []
+        for name in ("structured.csv", "templates.csv"):
+            assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+
+    @pytest.mark.usefixtures("fork_from_2500")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_backend_error_fails_run_without_output(self, tmp_path, jobs):
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
@@ -494,7 +654,7 @@ class TestRun:
             run(path, RouterConfig(jobs=jobs), _BrokenBackend(), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.usefixtures("pool_from_2500")
+    @pytest.mark.usefixtures("fork_from_2500")
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("failure", [None, "backend", "dense"])
     def test_every_thread_run_starts_is_joined(self, tmp_path, monkeypatch, jobs, failure):
@@ -549,7 +709,7 @@ class TestRun:
         assert result.ledger.to_dict()["llm_invocations"] > 0
         assert started == []
 
-    @pytest.mark.usefixtures("pool_from_2500")
+    @pytest.mark.usefixtures("fork_from_2500")
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
     def test_run_restores_the_collector_setting(self, tmp_path, jobs, collecting):
@@ -594,25 +754,6 @@ class TestRun:
         assert computing["write"] == [False]
         assert waiting.saw_collector
 
-    def test_run_leaves_start_method_unset(self, tmp_path):
-        # A fresh interpreter, since anything earlier in this one may have
-        # fixed the start method already.
-        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
-        path = write_lines(tmp_path / "in.log", lines)
-        script = (
-            "import multiprocessing, sys\n"
-            "from celerlog import RouterConfig, pipeline, run\n"
-            "pipeline._PARALLEL_THRESHOLD = 2500\n"
-            "run(sys.argv[1], RouterConfig(jobs=2))\n"
-            "print(multiprocessing.get_start_method(allow_none=True))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
-        child = subprocess.run(
-            [sys.executable, "-c", script, str(path)],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        )
-        assert child.stdout.strip() == "None"
-
     def test_mock_run_never_imports_requests(self, tmp_path):
         # A fresh interpreter, since an earlier test may have imported them.
         # No thread pool, no logging and no scorer loads for a jobs=1 run
@@ -648,38 +789,38 @@ class TestRun:
             celerlog.no_such_name
 
     @needs_fork
-    @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to take the pool")
-    def test_pool_run_imports_multiprocessing_itself(self, tmp_path):
-        # A fresh interpreter that has never imported multiprocessing: the
-        # jobs=2 run must import it, take the pool and write the jobs=1 bytes.
-        # The pool forks a single-threaded parent: no thread has started yet,
-        # and the jobs=1 run joined the ones it started.
+    @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to fork")
+    def test_forked_run_imports_no_process_pool(self, tmp_path):
+        # A fresh interpreter, since an earlier test may have imported them:
+        # the jobs=2 run forks for masking and for writing, each child exits
+        # 0, it writes the jobs=1 bytes, and neither process pool module loads.
         lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=23)
         path = write_lines(tmp_path / "in.log", lines)
         script = (
-            "import sys, threading\n"
+            "import os, sys\n"
             "from celerlog import RouterConfig, pipeline, run\n"
             "pipeline._PARALLEL_THRESHOLD = 2500\n"
-            "pooled = []\n"
-            "mask_on_pool = pipeline._mask_on_pool\n"
-            "def recorded(*args):\n"
-            "    pooled.append(threading.active_count())\n"
-            "    return mask_on_pool(*args)\n"
-            "pipeline._mask_on_pool = recorded\n"
+            "statuses = []\n"
+            "waitpid = os.waitpid\n"
+            "def recorded(pid, options):\n"
+            "    reaped = waitpid(pid, options)\n"
+            "    statuses.append(reaped[1])\n"
+            "    return reaped\n"
+            "os.waitpid = recorded\n"
             "run(sys.argv[1], RouterConfig(jobs=1), out_dir=sys.argv[2])\n"
-            "print('multiprocessing' in sys.modules, pooled)\n"
             "run(sys.argv[1], RouterConfig(jobs=2), out_dir=sys.argv[3])\n"
-            "print('multiprocessing' in sys.modules, pooled)\n"
+            "modules = ('multiprocessing', 'concurrent.futures')\n"
+            "print(statuses, [name for name in modules if name in sys.modules])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(celerlog.__file__).parents[1]))
-        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        serial, forked = tmp_path / "serial", tmp_path / "forked"
         child = subprocess.run(
-            [sys.executable, "-c", script, str(path), str(serial), str(pooled)],
+            [sys.executable, "-c", script, str(path), str(serial), str(forked)],
             capture_output=True, text=True, env=env, check=True, timeout=120,
         )
-        assert child.stdout.splitlines() == ["False []", "True [1]"]
+        assert child.stdout.strip() == "[0, 0] []"
         for name in ("structured.csv", "templates.csv"):
-            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+            assert (serial / name).read_bytes() == (forked / name).read_bytes()
 
     def test_wall_time_recorded(self, tmp_path):
         path = write_lines(tmp_path / "in.log", fig5_lines())
@@ -727,7 +868,7 @@ class TestRun:
             "copy <*> blocks done", ("1 3",), SOURCE_STATISTICAL
         )
 
-    @pytest.mark.usefixtures("pool_from_2500")
+    @pytest.mark.usefixtures("fork_from_2500")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_equal_rows_from_extract_template(self, tmp_path, jobs):
         # The per-content view: one result per distinct message, looked up
@@ -900,6 +1041,14 @@ class TestWriteOutput:
             lambda case: feature(structured_rows(case)),
             settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
         )
+
+    def test_row_list_is_written_in_process(self, tmp_path, monkeypatch, fork_log):
+        # Only a run's rows fork; a caller's list is written as it is.
+        monkeypatch.setattr(pipeline, "_PARALLEL_THRESHOLD", 1)
+        rows = self._rows() * 4
+        write_output(rows, Counter(), CostLedger(), tmp_path / "out", config=RouterConfig(jobs=2))
+        assert fork_log.files == []
+        assert (tmp_path / "out" / "structured.csv").read_bytes() == naive_write_structured(rows)
 
     def test_row_refused_by_csv_writer_is_config_error(self, tmp_path, monkeypatch):
         def refuse(handle, rows):

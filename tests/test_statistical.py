@@ -157,15 +157,22 @@ GROUP_TOKENS = [
     "42", "0x3f", "a/b", "k=1", "OK", "red", "blue", "Failed", "s",
 ]
 SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+#: The pool of a position that varies between two values whose key holds
+#: the same designated token. Pools drawn from GROUP_TOKENS hold both in
+#: about one position in a hundred, so a few of 2,000 examples vary them.
+PAREN_NUMBERS = ["(123)", "(45)"]
 
 
 @st.composite
 def dense_lines(draw):
     """Lines of one token length; each position draws from a small pool, so
-    some positions stay constant and others vary."""
+    some positions stay constant and others vary. About one position in ten
+    takes the ``PAREN_NUMBERS`` pool."""
     length = draw(st.integers(1, 5))
     pools = [
-        draw(st.lists(st.sampled_from(GROUP_TOKENS), min_size=1, max_size=3, unique=True))
+        PAREN_NUMBERS
+        if draw(st.integers(0, 9)) == 9
+        else draw(st.lists(st.sampled_from(GROUP_TOKENS), min_size=1, max_size=3, unique=True))
         for _ in range(length)
     ]
     lines = []
