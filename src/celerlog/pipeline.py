@@ -9,7 +9,9 @@ before any LLM request is sent. Threads start only inside
 ``process_sparse``, none at ``jobs=1``, and all are joined before it returns
 or raises. The rows are a lazy sequence (``_Rows``) in record order: each
 row is built, its message split and its parameters read, only when it is
-read, so no row outlives its write.
+read, so no row outlives its write. Writing builds no row where a dense
+group's template and a message need no quoting or escaping: its line is
+formatted from the message and the group's parameter reader (``_write_rows``).
 
 When ``_fork_width`` allows, masking and formatting the rows of
 structured.csv run in forked children over contiguous index ranges
@@ -41,7 +43,7 @@ import threading
 from collections import Counter
 from contextlib import suppress
 from itertools import chain, repeat
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from time import perf_counter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -269,14 +271,17 @@ class _Rows(Sequence[ParsedRecord]):
     ``readers[i]`` returns the result of record ``i``'s content: a dense
     group's reader (``statistical.read_columns``), which splits the message
     and reads its parameters, or the lookup into the sparse results. So the
-    rows cost memory only while they are written. ``jobs`` is the run's.
+    rows cost memory only while they are written. ``plain`` maps the reader
+    of each dense group whose template is plain (``_is_plain``) to the text
+    ``,template,`` and the group's parameter reader. ``jobs`` is the run's.
     """
 
-    __slots__ = ("_records", "_readers", "jobs")
+    __slots__ = ("_records", "_readers", "_plain", "jobs")
 
-    def __init__(self, records: Sequence[LogRecord], readers: Sequence[Callable], jobs: int):
+    def __init__(self, records: Sequence[LogRecord], readers: list, plain: dict, jobs: int):
         self._records = records
         self._readers = readers
+        self._plain = plain
         self.jobs = jobs
 
     def __len__(self) -> int:
@@ -289,12 +294,15 @@ class _Rows(Sequence[ParsedRecord]):
         return ParsedRecord(line_id, content, self._readers[index](content))
 
     def __iter__(self) -> Iterator[ParsedRecord]:
-        return self.span(0, len(self._records))
-
-    def span(self, start: int, stop: int) -> Iterator[ParsedRecord]:
-        records, readers = self._records[start:stop], self._readers[start:stop]
-        for (line_id, content), read in zip(records, readers):
+        for (line_id, content), read in zip(self._records, self._readers):
             yield ParsedRecord(line_id, content, read(content))
+
+    def write_lines(self, write: Callable[[str], object], start: int, stop: int) -> None:
+        """Pass ``write`` the structured.csv lines of rows ``start`` to ``stop``
+        (``_write_rows``), built from the records and readers themselves."""
+        records = self._records[start:stop]
+        ids, contents = map(itemgetter(0), records), map(itemgetter(1), records)
+        _write_rows(write, zip(ids, contents, self._readers[start:stop]), self._plain)
 
 
 def run(
@@ -327,9 +335,12 @@ def run(
 
         # ingest numbers the records from 0, so a line id indexes ``readers``.
         readers: list = [None] * len(records)
+        plain: dict = {}
         catalog: Counter = Counter()
         for group in dense:
-            template, read = statistical.read_columns(group)
+            template, read, parameters = statistical.read_columns(group)
+            if _is_plain(template):
+                plain[read] = (f",{template},", parameters)
             for member in group.member_groups:
                 for line_id in member.record_ids:
                     readers[line_id] = read
@@ -351,7 +362,7 @@ def run(
             raise InternalInvariantError(
                 f"record {readers.index(None)} missing from routing output"
             )
-        rows = _Rows(records, readers, config.jobs)
+        rows = _Rows(records, readers, plain, config.jobs)
 
         if out_dir is not None:
             write_output(
@@ -417,27 +428,40 @@ class _Lines(list):
     write = list.append
 
 
-def _write_rows(write: Callable[[str], object], rows: Iterable[ParsedRecord]) -> None:
-    """Pass ``write`` the structured.csv lines of ``rows``, ``_ROWS_PER_WRITE``
-    at a time, as ``csv.writer`` would write them: a row whose fields are all
-    plain (``_is_plain``) is formatted directly, every other one, its bytes or
-    its error, by ``csv.writer`` on every Python version. Whether a template
-    is plain is decided once per template."""
+def _write_rows(
+    write: Callable[[str], object], rows: Iterable[tuple], forms: dict | None = None
+) -> None:
+    r"""Pass ``write`` the structured.csv lines of ``rows``, ``_ROWS_PER_WRITE``
+    at a time, as ``csv.writer`` would write them: a caller's ``ParsedRecord``s,
+    or with ``forms`` (``_Rows._plain``) a run's ``(line_id, content, read)``.
+    A run's row whose reader is in ``forms`` and whose content holds none of
+    ``,"\r\n\0|\`` is formatted from one split: its parameters, tokens of the
+    content, need no escaping. Every other row is formatted directly when its
+    fields are all plain (``_is_plain``), else, its bytes or its error, by
+    ``csv.writer`` on every Python version. Whether a template is plain is
+    decided once per template."""
     lines = _Lines()
-    quoted = csv.writer(lines, lineterminator="\n")
+    append, quoted = lines.append, csv.writer(lines, lineterminator="\n")
     plain_templates: dict[str, bool] = {}
-    for line_id, content, (template, values, _) in rows:
+    for line_id, content, result in rows:
+        if len(lines) >= _ROWS_PER_WRITE:
+            write("".join(lines))
+            lines.clear()
+        if forms is not None:
+            form = forms.get(result)
+            if form and _is_plain(content) and "|" not in content and "\\" not in content:
+                append(f"{line_id},{content}{form[0]}{'|'.join(form[1](content))}\n")
+                continue
+            result = result(content)
+        template, values, _ = result
         plain = plain_templates.get(template)
         if plain is None:
             plain = plain_templates[template] = _is_plain(template)
         parameters = escape_parameters(values)
         if plain and _is_plain(content) and _is_plain(parameters):
-            lines.append(f"{line_id},{content},{template},{parameters}\n")
+            append(f"{line_id},{content},{template},{parameters}\n")
         else:
             quoted.writerow([line_id, content, template, parameters])
-        if len(lines) >= _ROWS_PER_WRITE:
-            write("".join(lines))
-            lines.clear()
     write("".join(lines))
 
 
@@ -451,11 +475,11 @@ def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord]) -> None:
         return
 
     def save(start, stop, file):
-        _write_rows(lambda text: file.write(text.encode()), rows.span(start, stop))
+        rows.write_lines(lambda text: file.write(text.encode()), start, stop)
 
     def take(start, stop, file):
         if file is None:
-            _write_rows(handle.write, rows.span(start, stop))
+            rows.write_lines(handle.write, start, stop)
         else:
             handle.flush()
             shutil.copyfileobj(file, handle.buffer)

@@ -48,8 +48,9 @@ def _mixed_lengths(anchor: str | None) -> InternalInvariantError:
     return InternalInvariantError(f"dense group with anchor {anchor!r} mixes raw token lengths")
 
 
-def read_columns(group: DenseGroup) -> tuple[str, Callable[[str], TemplateResult]]:
-    """Derive a dense group's template and the reader of its messages' results.
+def read_columns(group: DenseGroup) -> tuple[str, Callable, Callable]:
+    """Derive a dense group's template, the reader of its messages' results,
+    and the reader of their parameters alone, which the first calls.
 
     A position becomes a parameter when the group's distinct messages carry
     more than one value there, or when any member key masked it: the router
@@ -71,13 +72,13 @@ def read_columns(group: DenseGroup) -> tuple[str, Callable[[str], TemplateResult
 
     The messages are split here only for a key token of the second kind.
     Adjacent parameter positions form one parameter (``collapse``). The
-    reader takes one message of the group, splits it and reads its
+    parameter reader takes one message of the group, splits it and reads its
     parameters by column: when every parameter covers one token, one
     ``operator.itemgetter`` call reads them all, and a multi-token parameter
     is the join of its span. Masking is token for token and a bucket holds
     one key length, so every message of a group has its keys' token count;
     a group that breaks this raises ``InternalInvariantError`` here or from
-    the reader.
+    the readers.
     """
     keys = [member.key_tokens for member in group.member_groups]
     first = keys[0]
@@ -125,13 +126,16 @@ def read_columns(group: DenseGroup) -> tuple[str, Callable[[str], TemplateResult
         def columns(tokens: list[str]) -> tuple[str, ...]:
             return ()
 
-    def read(content: str) -> TemplateResult:
+    def parameters(content: str) -> tuple[str, ...]:
         tokens = content.split()
         if len(tokens) != length:
             raise _mixed_lengths(anchor)
-        return TemplateResult(template, columns(tokens), SOURCE_STATISTICAL)
+        return columns(tokens)
 
-    return template, read
+    def read(content: str) -> TemplateResult:
+        return TemplateResult(template, parameters(content), SOURCE_STATISTICAL)
+
+    return template, read, parameters
 
 
 def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
@@ -139,7 +143,7 @@ def extract_template(group: DenseGroup) -> dict[str, TemplateResult]:
 
     The returned dict is in no particular order.
     """
-    _, read = read_columns(group)
+    _, read, _ = read_columns(group)
     return {content: read(content) for member in group.member_groups for content in member.members}
 
 

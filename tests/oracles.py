@@ -8,6 +8,10 @@ reference post-process only its token masker.
 ``naive_extract_template`` and ``naive_validate_and_mask`` build the templates
 that the producers built before post-processing was folded into them; a run
 writes ``naive_post_process`` of those templates.
+
+``naive_run`` chains the oracles into a whole run. Besides their borrowings
+it takes only the package's ``ingest`` and, for the sparse groups, its
+``process_sparse``.
 """
 
 from __future__ import annotations
@@ -16,16 +20,21 @@ import csv
 import io
 import math
 import re
+from collections import Counter
 
+from celerlog.llm import process_sparse
 from celerlog.masking import extract_verbs, mask_token
 from celerlog.model import (
+    CostLedger,
     DenseGroup,
     InternalInvariantError,
     LogBucket,
     RouterConfig,
+    SkeletonGroup,
     SparseGroup,
     TemplateResult,
 )
+from celerlog.pipeline import ParsedRecord, ingest
 from celerlog.routing import MergeState
 
 MASK_TOKENS = ("<NUM>", "<CL>", "<UCL>", "<BL>", "<SL>")
@@ -367,3 +376,59 @@ def naive_merge_bucket(bucket: LogBucket, config: RouterConfig):
         states.append(MergeState(anchor.key, similarities, tau, k_limit))
         remaining = [group for group in remaining if group not in matched]
     return dense, [SparseGroup(group=group) for group in remaining], states
+
+
+def naive_joined(content: str, template: str) -> TemplateResult:
+    """A dense message's result from its ``naive_extract_template`` template,
+    which holds one ``<*>`` per parameter position: a position is a parameter
+    where the template holds ``<*>`` or a token that ``naive_mask_token``
+    changes, and each run of adjacent parameter positions is one parameter,
+    the message's tokens there joined by spaces."""
+    template_tokens: list[str] = []
+    parameters: list[str] = []
+    previous = False
+    for token, constant in zip(content.split(), template.split()):
+        variable = constant == "<*>" or naive_mask_token(constant) != constant
+        if variable and previous:
+            parameters[-1] += " " + token
+        elif variable:
+            template_tokens.append("<*>")
+            parameters.append(token)
+        else:
+            template_tokens.append(constant)
+        previous = variable
+    return TemplateResult(" ".join(template_tokens), tuple(parameters), "statistical")
+
+
+def naive_run(path, config: RouterConfig, backend) -> tuple[bytes, Counter]:
+    """structured.csv's bytes and the template catalog of a whole run: ``ingest``,
+    the skeleton of ``naive_mask_token`` per token, grouping in a dict,
+    ``naive_merge_bucket`` per length bucket, ``naive_joined`` of
+    ``naive_extract_template`` per dense group, ``process_sparse`` for the
+    sparse groups and ``naive_write_structured``."""
+    records, _ = ingest(path)
+    keys = {
+        content: " ".join(naive_mask_token(token) for token in content.split())
+        for content in {content for _, content in records}
+    }
+    groups: dict[str, tuple[set[str], list[int]]] = {}
+    for line_id, content in records:
+        members, line_ids = groups.setdefault(keys[content], (set(), []))
+        members.add(content)
+        line_ids.append(line_id)
+    buckets: dict[int, list[SkeletonGroup]] = {}
+    for key, (members, line_ids) in groups.items():
+        tokens = tuple(key.split())
+        group = SkeletonGroup(key, tokens, frozenset(members), tuple(line_ids))
+        buckets.setdefault(len(tokens), []).append(group)
+    results: dict[str, TemplateResult] = {}
+    sparse: list[SparseGroup] = []
+    for length, bucket in buckets.items():
+        dense, leftover, _ = naive_merge_bucket(LogBucket(length, tuple(bucket)), config)
+        sparse.extend(leftover)
+        for group in dense:
+            for content, result in naive_extract_template(group).items():
+                results[content] = naive_joined(content, result.template)
+    results.update(process_sparse(sparse, backend, config, CostLedger()))
+    rows = [ParsedRecord(line_id, content, results[content]) for line_id, content in records]
+    return naive_write_structured(rows), Counter(row.result.template for row in rows)

@@ -312,8 +312,8 @@ def test_c08_parallel_runs_are_byte_identical_and_faster(corpus_100k, tmp_path):
             ).read_bytes(), f"{name} differs between jobs=1 and jobs=8"
 
         cores = _usable_cpus()
-        # run() pools with an explicit fork context, whatever the default start
-        # method, wherever os.fork exists.
+        # run() forks its children with os.fork itself, whatever the default
+        # start method, wherever os.fork exists.
         fork = hasattr(os, "fork")
         ratio = elapsed[8] / elapsed[1]
         print(

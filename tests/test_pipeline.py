@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import HealthCheck, Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import celerlog
@@ -44,7 +44,7 @@ from celerlog.pipeline import (
 from celerlog.model import TemplateResult
 from collections import Counter
 from corpus import fig5_lines, make_template_corpus
-from oracles import naive_write_structured
+from oracles import naive_run, naive_write_structured
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -313,12 +313,13 @@ def _check_masking(check, monkeypatch):
 
 
 def _check_reading(check, monkeypatch):
-    """Makes every dense reader call ``check(content)`` first."""
+    """Makes both readers of every dense group call ``check(content)`` first:
+    run() writes a row through one of them."""
     read_columns = statistical.read_columns
 
     def patched(group):
-        template, read = read_columns(group)
-        return template, _checked(check, read)
+        template, read, parameters = read_columns(group)
+        return template, _checked(check, read), _checked(check, parameters)
 
     monkeypatch.setattr(statistical, "read_columns", patched)
 
@@ -474,6 +475,45 @@ class _CountingMockBackend(MockBackend):
     def infer(self, envelope):
         self.requests.append(envelope)
         return super().infer(envelope)
+
+
+def fork_sized(lines):
+    """The lines cycled to 2,500, from which ``fork_from_2500`` lets run() fork."""
+    return [lines[index % len(lines)] for index in range(2500)]
+
+
+#: Tokens and separators of the corpora run() is compared with ``naive_run``
+#: on: values of every mask rule, designated tokens and placeholders in the
+#: raw text, non-ASCII text, the characters structured.csv escapes or quotes,
+#: and whitespace other than one space.
+_ORACLE_TOKENS = [
+    "0x1f", "0XAB", "-12", "+3.5", "42", "(45)", "<*>", "<NUM>", "<ABC>", "é", "٣",
+    "a|b", "c\\d", '"q"', "x,y", "k=1", "blk_7", "ERROR", "open", "worker", "ready",
+]
+_ORACLE_SEPARATORS = [" ", " ", " ", "\t", "  ", "\x1f", "\xa0"]
+
+
+@st.composite
+def oracle_corpora(draw):
+    """Distinct lines: up to three templates whose lines vary at some
+    positions, and a few noise lines."""
+    tokens = st.lists(st.sampled_from(_ORACLE_TOKENS), min_size=1, max_size=8)
+    token_lists = draw(st.lists(tokens, max_size=4))
+    for _ in range(draw(st.integers(0 if token_lists else 1, 3))):
+        template = draw(tokens)
+        slots = draw(st.sets(st.integers(0, len(template) - 1)))
+        for _ in range(draw(st.integers(1, 6))):
+            token_lists.append(
+                [draw(st.sampled_from(_ORACLE_TOKENS)) if index in slots else token
+                 for index, token in enumerate(template)]
+            )
+    lines = []
+    for token_list in token_lists:
+        line = token_list[0]
+        for token in token_list[1:]:
+            line += draw(st.sampled_from(_ORACLE_SEPARATORS)) + token
+        lines.append(line)
+    return lines
 
 
 class TestRun:
@@ -841,10 +881,10 @@ class TestRun:
         real_read, real_sparse = statistical.read_columns, llm.process_sparse
 
         def read_columns(group):
-            template, read = real_read(group)
+            template, read, parameters = real_read(group)
             for member in group.member_groups:
                 before.update((content, read(content)) for content in member.members)
-            return template, read
+            return template, read, parameters
 
         def process_sparse(*args):
             results = real_sparse(*args)
@@ -917,6 +957,29 @@ class TestRun:
             for parameters in [("1 foo", "2"), ("1 bar", "3"), ("5 baz", "7")]
         ]
 
+    @pytest.mark.usefixtures("fork_from_2500")
+    @settings(
+        max_examples=settings.default.max_examples // 10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(oracle_corpora())
+    @example(["took (12) ms", "took (12) ms", "copy 0x1f\tto  a|b", "copy 0XAB\xa0to x,y"])
+    @example(["é ٣ <NUM>", "<*> <ABC> c\\d", "worker 42 ready", "worker -12 ready"])
+    def test_run_equals_naive_run(self, lines):
+        # The whole run against the chain of oracles, in process at jobs=1
+        # and forked at jobs=2: a fault between layers, such as a reader given
+        # to the wrong record, shows here. Like the writer's differential
+        # test, this takes a tenth of the profile's examples.
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_lines(Path(directory) / "in.log", fork_sized(lines))
+            expected, catalog = naive_run(path, RouterConfig(jobs=1), MockBackend())
+            for jobs in (1, 2):
+                out = Path(directory) / f"out{jobs}"
+                result = run(path, RouterConfig(jobs=jobs), MockBackend(), out_dir=out)
+                assert (out / "structured.csv").read_bytes() == expected
+                assert result.catalog == catalog
+
 
 # Every character csv.writer treats specially, edge spaces, the parameter
 # escapes, and any other character a decoded input can hold.
@@ -956,6 +1019,74 @@ def structured_rows(case):
 def _is_plain_row(row):
     fields = (row.content, row.result.template, escape_parameters(row.result.parameters))
     return not any(char in field for field in fields for char in ',"\r\n\0')
+
+
+#: Parts of the dense corpora. Each value form masks to ``<CL>`` whatever its
+#: digits, so the lines of one template share a skeleton; the constants, the
+#: forms and the separators carry every character that structured.csv quotes
+#: or escapes, and non-ASCII text.
+_CONSTANTS = ["open", "closed", "say,", "a,b", '"q"', "naïve", "x|y"]
+_VALUE_FORMS = ["k={}", "k={}|{}", 'k="{}"', "k={},{}", "k={}\\{}", "k=é{}", "k={}\0{}"]
+_SEPARATORS = [" ", " ", " ", "  ", "\t", " \r "]
+
+
+@st.composite
+def dense_corpora(draw):
+    """The distinct lines of up to three templates of distinct token counts:
+    each length bucket holds one skeleton group, which routing makes dense."""
+    lines = []
+    for length in draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True)):
+        parts = draw(
+            st.lists(st.sampled_from(_CONSTANTS + _VALUE_FORMS), min_size=length, max_size=length)
+        )
+        for _ in range(draw(st.integers(1, 4))):
+            line = ""
+            for index, part in enumerate(parts):
+                if index:
+                    line += draw(st.sampled_from(_SEPARATORS))
+                line += part.format(draw(st.integers(0, 999)), draw(st.integers(0, 999)))
+            lines.append(line)
+    return lines
+
+
+def dense_rows(lines):
+    """(content, template) of each line of ``lines`` that routing makes dense."""
+    records = [LogRecord(index, line) for index, line in enumerate(lines)]
+    dense, _, _ = route(records, RouterConfig())
+    return [
+        (content, statistical.read_columns(group)[0])
+        for group in dense
+        for member in group.member_groups
+        for content in member.members
+    ]
+
+
+def _in_rows(feature):
+    return lambda case: feature(structured_rows(case))
+
+
+def _in_a_dense_row(feature):
+    return lambda lines: any(feature(*row) for row in dense_rows(fork_sized(lines)))
+
+
+#: What each ``dense-`` case of ``test_generator_covers`` finds in a dense
+#: row's (content, template). A ``fast-row`` is formatted from its group's
+#: columns, and every other dense row through ``csv.writer``'s rules.
+_DENSE_FEATURES = {
+    "comma": lambda content, template: "," in content,
+    "quote": lambda content, template: '"' in content,
+    "pipe": lambda content, template: "|" in content,
+    "backslash": lambda content, template: "\\" in content,
+    "carriage-return": lambda content, template: "\r" in content,
+    "nul": lambda content, template: "\0" in content,
+    "tab": lambda content, template: "\t" in content,
+    "double-space": lambda content, template: "  " in content,
+    "non-ascii": lambda content, template: not content.isascii(),
+    "template-comma": lambda content, template: "," in template,
+    "template-quote": lambda content, template: '"' in template,
+    "fast-row": lambda content, template: pipeline._is_plain(template)
+    and not any(char in content for char in ',"\r\n\0|\\'),
+}
 
 
 class TestWriteOutput:
@@ -1026,21 +1157,71 @@ class TestWriteOutput:
         assert written == expected
 
     @pytest.mark.parametrize(
-        "feature",
+        "cases, feature",
         [
-            lambda rows: len(rows) > pipeline._ROWS_PER_WRITE and any(map(_is_plain_row, rows)),
-            lambda rows: len(rows) > pipeline._ROWS_PER_WRITE
-            and not all(map(_is_plain_row, rows)),
-            lambda rows: any("\r" in row.content for row in rows),
+            pytest.param(
+                structured_cases(),
+                _in_rows(lambda rows: len(rows) > pipeline._ROWS_PER_WRITE
+                         and any(map(_is_plain_row, rows))),
+                id="plain-rows",
+            ),
+            pytest.param(
+                structured_cases(),
+                _in_rows(lambda rows: len(rows) > pipeline._ROWS_PER_WRITE
+                         and not all(map(_is_plain_row, rows))),
+                id="quoted-rows",
+            ),
+            pytest.param(
+                structured_cases(),
+                _in_rows(lambda rows: any("\r" in row.content for row in rows)),
+                id="carriage-return",
+            ),
+        ]
+        + [
+            pytest.param(dense_corpora(), _in_a_dense_row(feature), id=f"dense-{name}")
+            for name, feature in _DENSE_FEATURES.items()
         ],
-        ids=["plain-rows", "quoted-rows", "carriage-return"],
     )
-    def test_generator_covers(self, feature):
+    def test_generator_covers(self, cases, feature):
         find(
-            structured_cases(),
-            lambda case: feature(structured_rows(case)),
+            cases,
+            feature,
             settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
         )
+
+    @pytest.mark.usefixtures("fork_from_2500")
+    @settings(
+        max_examples=settings.default.max_examples // 10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(dense_corpora())
+    @example(["k=1,2 say,\t\"q\"", "k=3|4  a,b \r x|y", "k=5\\6 naïve"])
+    @example(["open k=1", "open k=2"])
+    @example(["k=1\x002 open"])
+    def test_run_bytes_equal_csv_writer(self, lines):
+        # A run formats most dense rows from their groups' columns, not
+        # through csv.writer: its bytes must still be csv.writer's for its
+        # rows, in process at jobs=1 and forked at jobs=2. A run costs tens
+        # of milliseconds, so this test takes a tenth of the profile's
+        # examples: 10, or 2,000 under the deep profile.
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_lines(Path(directory) / "in.log", fork_sized(lines))
+            try:
+                expected = naive_write_structured(
+                    list(run(path, RouterConfig(jobs=1), MockBackend()).rows)
+                )
+            except csv.Error:
+                # Python 3.10's csv.writer refuses NUL, and so must the run.
+                expected = None
+            for jobs in (1, 2):
+                out = Path(directory) / f"out{jobs}"
+                if expected is None:
+                    with pytest.raises(ConfigError):
+                        run(path, RouterConfig(jobs=jobs), MockBackend(), out_dir=out)
+                else:
+                    run(path, RouterConfig(jobs=jobs), MockBackend(), out_dir=out)
+                    assert (out / "structured.csv").read_bytes() == expected
 
     def test_row_list_is_written_in_process(self, tmp_path, monkeypatch, fork_log):
         # Only a run's rows fork; a caller's list is written as it is.

@@ -120,10 +120,12 @@ class TestExtractTemplate:
         # no message here, so the reader raises when it reads that one.
         member = SkeletonGroup("a b", ("a", "b"), frozenset({"a b", "a b c"}), (0, 1))
         group = DenseGroup(member_groups=(member,), anchor_key="a b")
-        _, read = read_columns(group)
+        _, read, parameters = read_columns(group)
         assert read("a b") == TemplateResult("a b", (), SOURCE_STATISTICAL)
         with pytest.raises(InternalInvariantError, match="'a b'"):
             read("a b c")
+        with pytest.raises(InternalInvariantError, match="'a b'"):
+            parameters("a b c")
         with pytest.raises(InternalInvariantError, match="'a b'"):
             extract_template(group)
 
@@ -138,7 +140,7 @@ class TestReadColumns:
         group = dense_group_from(["copy 1 blocks done", "copy 2 blocks done"])
         member = group.member_groups[0]
         unsplittable = member._replace(members=frozenset(map(_Unsplittable, member.members)))
-        template, _ = read_columns(DenseGroup(member_groups=(unsplittable,)))
+        template, _, _ = read_columns(DenseGroup(member_groups=(unsplittable,)))
         assert template == "copy <*> blocks done"
 
     def test_reads_every_message_for_a_key_token_holding_lt(self):
@@ -298,7 +300,7 @@ class TestExtractTemplateAgainstOracle:
         # naive template post-processed, and per run of parameter positions
         # the join of the record's tokens there.
         for group in groups_under_test(lines):
-            template, read = read_columns(group)
+            template, read, read_parameters = read_columns(group)
             naive = naive_extract_template(group)
             naive_tokens = next(iter(naive.values())).template.split()
             assert template == naive_post_process(" ".join(naive_tokens))
@@ -313,6 +315,7 @@ class TestExtractTemplateAgainstOracle:
                 tokens = line.split()
                 parameters = tuple(" ".join(tokens[start:end]) for start, end in spans)
                 assert read(line) == TemplateResult(template, parameters, SOURCE_STATISTICAL)
+                assert read_parameters(line) == parameters
 
     @pytest.mark.parametrize(
         "feature",
