@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parse_cmd.add_argument(
         "--header-pattern", default=None,
-        help="regex with a named 'content' group that strips per-line headers",
+        help="regex with a named 'content' group stripping the header of a line or CSV Content",
     )
     parse_cmd.add_argument("--output", required=True, help="directory for the output files")
     parse_cmd.add_argument("--alpha", type=float, default=defaults.alpha,
@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parse_cmd.add_argument("--p-quantile", type=float, default=defaults.p_quantile,
                            help="singleton-ratio limit for threshold selection")
     parse_cmd.add_argument("--jobs", type=int, default=defaults.jobs,
-                           help="worker count for masking and in-flight requests")
+                           help="processes that mask and write structured.csv (at most the "
+                           "usable CPUs), and in-flight LLM requests")
     parse_cmd.add_argument("--batch-size", type=int, default=defaults.llm_batch_size,
                            help="messages per LLM request")
     parse_cmd.add_argument("--backend", choices=("mock", "http"), default="mock",

@@ -105,15 +105,17 @@ def ingest(
     """Read records from a raw log file or a structured CSV.
 
     Raw input takes one record per ``\n``-terminated line (a trailing ``\r``
-    dropped) after header stripping; CSV input reads the ``Content`` column.
-    Other characters that ``str.splitlines`` treats as line breaks stay inside
-    the record. Blank lines are skipped and counted, and undecodable bytes are
-    replaced and counted rather than fatal. A UTF-8 byte-order mark at the
-    start of the file is dropped.
+    dropped); CSV input reads the ``Content`` column. A header pattern strips
+    each line or ``Content``. Other characters that ``str.splitlines`` treats
+    as line breaks stay inside the record. Blank records are skipped and
+    counted, and undecodable bytes are replaced and counted rather than
+    fatal. A UTF-8 byte-order mark at the start of the file is dropped.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"input file not found: {path}")
+    if input_format not in ("raw", "csv"):
+        raise ConfigError(f"unknown input format: {input_format!r}")
     compiled = compile_header_pattern(header_pattern) if header_pattern else None
 
     # Neither the bytes nor the decoded text outlives the step that needs it:
@@ -125,16 +127,34 @@ def ingest(
     text = data.decode("utf-8-sig", errors="replace")
     del data
     decode_errors = text.count("\ufffd") - valid_replacements
+    lines = text.split("\n")
+    del text
 
     records: list[LogRecord] = []
     blank = 0
-    if input_format == "raw":
-        lines = text.split("\n")
-        del text
-        if lines[-1] == "":
-            lines.pop()
-        for line in lines:
-            content = line.removesuffix("\r")
+    try:
+        if input_format == "raw":
+            if lines[-1] == "":
+                lines.pop()
+            contents = map(str.removesuffix, lines, repeat("\r"))
+        else:
+            # One blank per row: an empty line, or a row whose Content is
+            # blank or missing. Line breaks inside a quoted field belong to
+            # its row. The reader gets the lines a StringIO of the text would
+            # yield, the last without "\n", but not its copy of the text at 4
+            # bytes a character: reversed behind a None, each line is popped,
+            # so freed, as the reader takes it.
+            last = lines.pop()
+            lines.append(None)
+            lines.reverse()
+            taken = map(add, iter(lines.pop, None), repeat("\n"))
+            reader = csv.reader(chain(taken, [last] if last else ()))
+            header = next(reader, None)
+            if header is None or "Content" not in header:
+                raise ConfigError(f"structured input {path} has no Content column")
+            column = header.index("Content")
+            contents = (row[column] if column < len(row) else "" for row in reader)
+        for content in contents:
             if compiled is not None:
                 content = strip_header(content, compiled)
             # Same as ``not content.strip()``, without the copy.
@@ -142,36 +162,9 @@ def ingest(
                 blank += 1
                 continue
             records.append(LogRecord(len(records), content))
-    elif input_format == "csv":
-        # One blank per row: an empty line, or a row whose Content is blank or
-        # missing. Line breaks inside a quoted field belong to its row. The
-        # reader gets the lines a StringIO of the text would yield, split at
-        # "\n" only and each keeping it, without that StringIO's copy of the
-        # text at 4 bytes a character. The lines are reversed behind a None
-        # and popped as the reader takes them, so each is freed once read.
-        lines = text.split("\n")
-        del text
-        last = lines.pop()
-        lines.append(None)
-        lines.reverse()
-        taken = map(add, iter(lines.pop, None), repeat("\n"))
-        reader = csv.reader(chain(taken, [last] if last else ()))
-        try:
-            header = next(reader, None)
-            if header is None or "Content" not in header:
-                raise ConfigError(f"structured input {path} has no Content column")
-            column = header.index("Content")
-            for row in reader:
-                content = row[column] if column < len(row) else ""
-                if not content or content.isspace():
-                    blank += 1
-                    continue
-                records.append(LogRecord(len(records), content))
-        except csv.Error as exc:
-            # Raised, among others, for a field over csv.field_size_limit().
-            raise ConfigError(f"cannot read structured input {path}: {exc}") from exc
-    else:
-        raise ConfigError(f"unknown input format: {input_format!r}")
+    except csv.Error as exc:
+        # Raised, among others, for a field over csv.field_size_limit().
+        raise ConfigError(f"cannot read structured input {path}: {exc}") from exc
 
     stats = IngestStats(record_count=len(records), blank_lines=blank, decode_errors=decode_errors)
     return records, stats
@@ -239,27 +232,23 @@ def _fork_ranges(count: int, workers: int, save: Callable, take: Callable) -> No
                 file.close()
 
 
-#: The per-record call of ``_mask_forked``, a name of this module so that a
-#: test can replace it.
-_skeleton = skeleton
-
-
 def _mask_forked(records: Sequence[LogRecord], workers: int) -> list[str]:
-    """The records' skeletons in record order, one object per distinct one,
-    which a child's marshalled range also writes and loads once."""
+    """The records' skeletons in record order, one object per distinct one:
+    the parent deduplicates each range once as it takes it, and a child its
+    own range first, so that marshal writes and loads each skeleton once."""
     seen: dict[str, str] = {}
     skeletons: list[str] = []
 
     def mask(start, stop):
-        keys = [_skeleton(content) for _, content in records[start:stop]]
-        return list(map(seen.setdefault, keys, keys))
+        return [skeleton(content) for _, content in records[start:stop]]
 
     def save(start, stop, file):
-        marshal.dump(mask(start, stop), file)
+        keys = mask(start, stop)
+        marshal.dump(list(map(seen.setdefault, keys, keys)), file)
 
     def take(start, stop, file):
-        part = marshal.load(file) if file else mask(start, stop)
-        skeletons.extend(map(seen.setdefault, part, part))
+        keys = marshal.load(file) if file else mask(start, stop)
+        skeletons.extend(map(seen.setdefault, keys, keys))
 
     _fork_ranges(len(records), workers, save, take)
     return skeletons
@@ -364,12 +353,13 @@ def run(
             )
         rows = _Rows(records, readers, plain, config.jobs)
 
-        if out_dir is not None:
+        if out_dir is None:
+            ledger.set_wall_time(perf_counter() - started_at)
+        else:
             write_output(
                 rows, catalog, ledger, out_dir, config=config, routing=routing_stats,
                 ingest_stats=ingest_stats, started_at=started_at,
             )
-        ledger.set_wall_time(perf_counter() - started_at)
         return RunResult(
             rows=rows, catalog=catalog, ledger=ledger, routing=routing_stats, ingest=ingest_stats
         )

@@ -72,32 +72,33 @@ def group_by_skeleton(
     records: Sequence[LogRecord],
     skeletons: Sequence[str] | None = None,
 ) -> list[SkeletonGroup]:
-    """Group records by masked skeleton; one group per distinct skeleton.
+    """Group records by masked skeleton, one group per distinct skeleton,
+    through one dict from each skeleton to its contents and line ids.
 
-    Precomputed skeletons (aligned with records) may be passed in so callers
-    can mask in parallel; otherwise masking happens here.
+    Precomputed skeletons, one per record (another count raises ValueError),
+    may be passed in so callers can mask in parallel; otherwise masking
+    happens here.
     """
-    members: dict[str, set[str]] = {}
-    record_ids: dict[str, list[int]] = {}
-    for index, record in enumerate(records):
-        key = skeletons[index] if skeletons is not None else skeleton(record.content)
-        if key in members:
-            members[key].add(record.content)
-            record_ids[key].append(record.line_id)
+    by_key: dict[str, tuple[set[str], list[int]]] = {}
+    keys = skeletons if skeletons is not None else (skeleton(content) for _, content in records)
+    for key, (line_id, content) in zip(keys, records, strict=True):
+        found = by_key.get(key)
+        if found is None:
+            by_key[key] = ({content}, [line_id])
         else:
-            members[key] = {record.content}
-            record_ids[key] = [record.line_id]
+            found[0].add(content)
+            found[1].append(line_id)
     # Pop each key's set and list as its group is built, so each is freed
     # once copied rather than when the last group is done.
     groups = []
-    for key in sorted(members):
-        ids = record_ids.pop(key)
+    for key in sorted(by_key):
+        members, ids = by_key.pop(key)
         ids.sort()
         groups.append(
             SkeletonGroup(
                 key=key,
                 key_tokens=tuple(key.split()),
-                members=frozenset(members.pop(key)),
+                members=frozenset(members),
                 record_ids=tuple(ids),
             )
         )

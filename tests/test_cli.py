@@ -153,6 +153,25 @@ class TestParseCommand:
         assert rows[0]["Content"] == "job 1 done"
 
 
+    def test_header_pattern_strips_csv_content(self, tmp_path):
+        source = tmp_path / "in.csv"
+        with open(source, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["LineId", "Content"])
+            writer.writerow([1, "INFO core: job 1 done"])
+            writer.writerow([2, "INFO core: job 2 done"])
+        out = tmp_path / "out"
+        code = main([
+            "parse", "--input", str(source), "--format", "csv", "--output", str(out),
+            "--header-pattern", r"^\w+ core: (?P<content>.*)$",
+        ])
+        assert code == 0
+        with open(out / "structured.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["Content"] for row in rows] == ["job 1 done", "job 2 done"]
+        assert {row["EventTemplate"] for row in rows} == {"job <*> done"}
+
+
 class TestHttpCredential:
     def test_api_key_read_from_environment(self, tmp_path, monkeypatch):
         import json as jsonlib
@@ -317,8 +336,9 @@ class TestEvalCommand:
             ("[]", None),
             ('{"ledger": 5}', None),
             ('{"ledger": {"llm_invocations": 3}, "routing": 5}', {"llm_invocations": 3}),
+            ('{"ledger": ', None),
         ],
-        ids=["not-an-object", "ledger-not-an-object", "routing-not-an-object"],
+        ids=["not-an-object", "ledger-not-an-object", "routing-not-an-object", "not-json"],
     )
     def test_run_json_of_the_wrong_shape_is_left_out(self, tmp_path, run_info, ledger):
         structured = tmp_path / "structured.csv"

@@ -241,3 +241,28 @@ class TestReportAndIo:
         path.write_text("LineId,EventTemplate\n0,a\n0,b\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_template_csv(path)
+
+    def test_missing_file_fatal(self, tmp_path):
+        with pytest.raises(ConfigError, match="file not found"):
+            load_template_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize(
+        "header, missing", [("Id,EventTemplate", "LineId"), ("LineId,Template", "EventTemplate")]
+    )
+    def test_header_without_a_column_fatal(self, tmp_path, header, missing):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"{header}\n0,a\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"has no {missing} column"):
+            load_template_csv(path)
+
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("LineId,EventTemplate\n0,a\n\n1,b\n", encoding="utf-8")
+        assert load_template_csv(path) == {0: "a", 1: "b"}
+
+    def test_unwritable_report_fatal(self, tmp_path):
+        # The report's directory would be a regular file.
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        metrics = Metrics(ga=1.0, pa=1.0, fga=1.0, fta=1.0)
+        with pytest.raises(ConfigError, match="cannot write report"):
+            report(metrics, tmp_path / "file" / "report.json")

@@ -7,6 +7,8 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celerlog import llm
 from celerlog.llm import (
@@ -25,8 +27,10 @@ from celerlog.llm import (
 )
 from celerlog.masking import mask_token
 from celerlog.model import (
+    PLACEHOLDER,
     SOURCE_LLM,
     SOURCE_ROLLBACK,
+    ConfigError,
     CostLedger,
     RouterConfig,
     SkeletonGroup,
@@ -403,6 +407,82 @@ class TestProcessSparse:
         assert ledger.llm_invocations == 1
 
 
+#: Tokens of the messages a hostile backend answers: values of every mask
+#: rule, placeholders in the raw text, non-ASCII text, and characters that
+#: ``str.splitlines`` breaks a reply line at.
+_HOSTILE_TOKENS = [
+    "0x1f", "-12", "+3.5", "42", "(45)", "<*>", "<NUM>", "a<*>b", "é", "٣", "k=1",
+    "blk_7", "ERROR", "open", "worker", "a\x85b", "x\u2028y", "1:", "\t",
+]
+
+
+@st.composite
+def _hostile_reply(draw, messages):
+    """A reply to ``messages``: numbered lines with right, wrong, duplicated,
+    zero and 30-digit indices, prose lines, and "\n" or "\r\n" line ends.
+    A line's variables are substrings of a message or all of it, blanks,
+    ``<NUM>``, ``<*>`` or other text."""
+    count = len(messages)
+    right = list(range(1, count + 1))
+    indices = draw(st.one_of(
+        st.just(right),
+        st.permutations(right),
+        st.lists(st.sampled_from([0, 1, 2, 3, count, count + 1, 10**29]), max_size=5),
+    ))
+    lines = []
+    for index in indices:
+        message = messages[(index - 1) % count]
+        variable = st.one_of(
+            st.tuples(st.integers(0, len(message)), st.integers(0, len(message))).map(
+                lambda span: message[span[0]:span[1]]
+            ),
+            st.sampled_from([message, "", " ", "<NUM>", "<*>"]),
+            st.text(max_size=4),
+        )
+        separator = draw(st.sampled_from([":", ": ", " : ", ":\t"]))
+        lines.append(f"{index}{separator}" + "\t".join(draw(st.lists(variable, max_size=4))))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+class TestHostileBackend:
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @settings(max_examples=max(100, settings.default.max_examples // 10), deadline=None)
+    @given(
+        contents=st.lists(
+            st.lists(st.sampled_from(_HOSTILE_TOKENS), min_size=1, max_size=6).map(" ".join),
+            min_size=1, max_size=5, unique=True,
+        ),
+        data=st.data(),
+    )
+    def test_every_reply_rolls_back_or_yields_a_verified_template(
+        self, batch_size, contents, data
+    ):
+        # The rollback contract: whatever a backend replies, each message
+        # gets its own text as template, or a template that rebuilds its
+        # tokens and whose constant tokens masking leaves alone. A run of
+        # replies costs about 10 ms, so this test takes a tenth of the
+        # profile's examples, at least 100: 2,000 under the deep profile.
+        class HostileBackend:
+            def infer(self, envelope):
+                reply = data.draw(_hostile_reply(envelope.messages))
+                return BackendResponse(reply, 1, 1)
+
+        groups = [sparse_group(content, index) for index, content in enumerate(contents)]
+        config = RouterConfig(jobs=1, llm_batch_size=batch_size)
+        results = process_sparse(groups, HostileBackend(), config, CostLedger())
+        assert set(results) == set(contents)
+        for content, result in results.items():
+            if result.source == SOURCE_ROLLBACK:
+                assert result.template == content and result.parameters == ()
+                continue
+            assert result.source == SOURCE_LLM
+            assert result.token_sequence() == content.split()
+            constants = [token for token in result.template.split() if token != PLACEHOLDER]
+            assert [mask_token(token) for token in constants] == constants
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     requests_seen: list = []
     reply: dict = {}
@@ -568,6 +648,16 @@ class TestHttpBackend:
         assert results["weird isolated line"].source == SOURCE_ROLLBACK
         assert ledger.llm_invocations == 1
         assert ledger.tokens_consumed == 10
+
+    def test_missing_model_fatal(self):
+        with pytest.raises(ConfigError, match="model name"):
+            HttpBackend("http://127.0.0.1:1/v1/chat/completions", "")
+
+    @pytest.mark.parametrize("usage", [[1, 2], "12", 7])
+    def test_usage_not_an_object_is_transport_error(self, stub_server, usage):
+        _StubHandler.reply = {"choices": [{"message": {"content": "1:\t42"}}], "usage": usage}
+        with pytest.raises(TransportError, match="usage is"):
+            HttpBackend(stub_server, model="m").infer(build_prompt(["took 42 ms"]))
 
     def test_null_token_counts_count_as_zero(self, stub_server):
         _StubHandler.reply = {

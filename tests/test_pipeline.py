@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import json
 import os
 import subprocess
 import sys
@@ -233,9 +234,11 @@ class TestIngest:
             b"LineId,Content\r0,a\r1,b\r",
             b"LineId,Content\n0,a\rb\n",
             b"LineId,Content\n\n",
+            b'Content\n"abc',
         ],
         ids=["quoted-line-breaks", "crlf", "line-separators", "blank-rows", "decode-errors",
-             "no-final-newline", "byte-order-mark", "lone-cr-rows", "cr-in-field", "header-only"],
+             "no-final-newline", "byte-order-mark", "lone-cr-rows", "cr-in-field", "header-only",
+             "open-quote-without-final-newline"],
     )
     def test_csv_reads_as_a_stringio_of_the_text(self, tmp_path, data):
         path = tmp_path / "in.csv"
@@ -248,6 +251,46 @@ class TestIngest:
         records, stats = ingest(path, input_format="csv")
         assert ([r.content for r in records], stats.blank_lines, stats.decode_errors) == expected
         assert [r.line_id for r in records] == list(range(len(records)))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"a b\r\nc d\r\n",
+            b"a b\nc d",
+            b"a b\r\n\r\nc d\r",
+            b"\n\n",
+            b"",
+        ],
+        ids=["crlf-at-end", "bare-last-line", "bare-cr-last-line", "only-newlines", "empty"],
+    )
+    def test_raw_reads_as_a_stringio_of_the_text(self, tmp_path, data):
+        # A StringIO that splits at "\n" only, each line's "\n" and then one
+        # "\r" dropped.
+        path = tmp_path / "in.log"
+        path.write_bytes(data)
+        lines = io.StringIO(data.decode(), newline="\n")
+        contents = [line.removesuffix("\n").removesuffix("\r") for line in lines]
+        records, stats = ingest(path)
+        assert [r.content for r in records] == [c for c in contents if c.strip()]
+        assert stats.blank_lines == sum(not c.strip() for c in contents)
+        assert [r.line_id for r in records] == list(range(len(records)))
+
+    def test_header_pattern_applied_to_csv_content(self, tmp_path):
+        # The pattern strips each Content; a Content it does not match stays
+        # whole, and one it strips to nothing is blank.
+        path = tmp_path / "in.csv"
+        path.write_text(
+            'LineId,Content\n0,INFO worker ready\n1,"WARN worker\nbusy"\n2,plain\n3,"INFO "\n',
+            encoding="utf-8",
+        )
+        records, stats = ingest(path, input_format="csv", header_pattern=r"^\w+ (?P<content>.*)$")
+        assert [r.content for r in records] == ["worker ready", "WARN worker\nbusy", "plain"]
+        assert stats.blank_lines == 1
+
+    def test_unknown_format_fatal(self, tmp_path):
+        path = write_lines(tmp_path / "in.log", ["a b"])
+        with pytest.raises(ConfigError, match="unknown input format: 'xml'"):
+            ingest(path, input_format="xml")
 
     def test_csv_ingest_peak_stays_below_three_file_sizes(self, tmp_path):
         # The lines of the raw test as a CSV. A StringIO of the text, kept
@@ -308,7 +351,7 @@ def _checked(check, function):
 def _check_masking(check, monkeypatch):
     """Makes masking call ``check(content)`` first at every jobs value:
     route() masks through its own name in process."""
-    for module, name in ((pipeline, "_skeleton"), (routing, "skeleton")):
+    for module, name in ((pipeline, "skeleton"), (routing, "skeleton")):
         monkeypatch.setattr(module, name, _checked(check, skeleton))
 
 
@@ -335,7 +378,7 @@ def _fails_in_children(parent):
 
 
 def _note_collector(directory, content):
-    """``pipeline._skeleton`` that leaves a file named for its process and the
+    """``pipeline.skeleton`` that leaves a file named for its process and the
     state of its cyclic collector."""
     (directory / f"{os.getpid()}-{gc.isenabled()}").touch()
     return skeleton(content)
@@ -415,7 +458,7 @@ class TestMaskOnPool:
         records = [LogRecord(index, line) for index, line in enumerate(lines)]
         if failure == "child":
             check = _fails_in_children(os.getpid())
-            monkeypatch.setattr(pipeline, "_skeleton", _checked(check, skeleton))
+            monkeypatch.setattr(pipeline, "skeleton", _checked(check, skeleton))
         else:
 
             def refuse(*args, **kwargs):
@@ -533,6 +576,15 @@ class TestRun:
             "LineId,Content,EventTemplate,Parameters\n"
         )
 
+    def test_ledger_is_the_one_in_run_json(self, tmp_path):
+        # The wall clock stops once, before run.json is written; a run that
+        # writes nothing stops it too.
+        path = write_lines(tmp_path / "in.log", fig5_lines())
+        result = run(path, RouterConfig(jobs=1), MockBackend(), out_dir=tmp_path / "out")
+        info = json.loads((tmp_path / "out" / "run.json").read_text(encoding="utf-8"))
+        assert result.ledger.to_dict() == info["ledger"]
+        assert run(path, RouterConfig(jobs=1), MockBackend()).ledger.wall_time_seconds > 0
+
     def test_partition_counts(self, tmp_path):
         lines, _ = make_template_corpus(n_lines=300, n_templates=10, n_oneoffs=30, seed=8)
         path = write_lines(tmp_path / "in.log", lines)
@@ -590,7 +642,7 @@ class TestRun:
         path = write_lines(tmp_path / "in.log", lines)
         notes = tmp_path / "notes"
         notes.mkdir()
-        monkeypatch.setattr(pipeline, "_skeleton", partial(_note_collector, notes))
+        monkeypatch.setattr(pipeline, "skeleton", partial(_note_collector, notes))
         collecting = gc.isenabled()
         gc.enable()
         try:

@@ -62,6 +62,12 @@ class TestGroupBySkeleton:
             for member in group.members:
                 assert mask_message(member)[0] == group.key
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["fewer", "more"])
+    def test_skeletons_unaligned_with_records_raise(self, extra):
+        records = records_of(["a 1 b", "a 2 b"])
+        with pytest.raises(ValueError):
+            group_by_skeleton(records, ["a <NUM> b"] * (len(records) + extra))
+
     def test_peak_stays_near_what_the_groups_keep(self):
         # Shaped like the benchmark's dense-40k corpus at a quarter of its
         # size. Holding every group's member set and id list while copying

@@ -129,6 +129,16 @@ class TestExtractTemplate:
         with pytest.raises(InternalInvariantError, match="'a b'"):
             extract_template(group)
 
+    def test_angle_key_column_over_a_message_of_another_length_raises(self):
+        # A key token like (<NUM>) makes read_columns split the messages
+        # itself, so it raises before returning any reader.
+        member = SkeletonGroup(
+            "open (<NUM>)", ("open", "(<NUM>)"), frozenset({"open (12)", "open (12) now"}), (0, 1)
+        )
+        group = DenseGroup(member_groups=(member,), anchor_key="open (<NUM>)")
+        with pytest.raises(InternalInvariantError, match=r"'open \(<NUM>\)'"):
+            read_columns(group)
+
 
 class _Unsplittable(str):
     def split(self, *args):
