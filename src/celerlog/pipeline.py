@@ -10,8 +10,8 @@ before any LLM request is sent. Threads start only inside
 or raises. The rows are a lazy sequence (``_Rows``) in record order: each
 row is built, its message split and its parameters read, only when it is
 read, so no row outlives its write. Writing builds no row where a dense
-group's template and a message need no quoting or escaping: its line is
-formatted from the message and the group's parameter reader (``_write_rows``).
+group's message needs no quoting or escaping: its line is formatted from the
+message, the group's template and its parameter reader (``_write_rows``).
 
 When ``_fork_width`` allows, masking and formatting the rows of
 structured.csv run in forked children over contiguous index ranges
@@ -260,18 +260,17 @@ class _Rows(Sequence[ParsedRecord]):
     ``readers[i]`` returns the result of record ``i``'s content: a dense
     group's reader (``statistical.read_columns``), which splits the message
     and reads its parameters, or the lookup into the sparse results. So the
-    rows cost memory only while they are written. ``plain`` maps the reader
-    of each dense group whose template is plain (``_is_plain``) to the text
-    ``,template,`` and the group's parameter reader. ``jobs`` is the run's.
+    rows cost memory only while they are written. ``forms`` maps the reader
+    of every dense group to the text ``,template,`` and the group's
+    parameter reader.
     """
 
-    __slots__ = ("_records", "_readers", "_plain", "jobs")
+    __slots__ = ("_records", "_readers", "_forms")
 
-    def __init__(self, records: Sequence[LogRecord], readers: list, plain: dict, jobs: int):
+    def __init__(self, records: Sequence[LogRecord], readers: list, forms: dict):
         self._records = records
         self._readers = readers
-        self._plain = plain
-        self.jobs = jobs
+        self._forms = forms
 
     def __len__(self) -> int:
         return len(self._records)
@@ -291,7 +290,7 @@ class _Rows(Sequence[ParsedRecord]):
         (``_write_rows``), built from the records and readers themselves."""
         records = self._records[start:stop]
         ids, contents = map(itemgetter(0), records), map(itemgetter(1), records)
-        _write_rows(write, zip(ids, contents, self._readers[start:stop]), self._plain)
+        _write_rows(write, zip(ids, contents, self._readers[start:stop]), self._forms)
 
 
 def run(
@@ -324,12 +323,11 @@ def run(
 
         # ingest numbers the records from 0, so a line id indexes ``readers``.
         readers: list = [None] * len(records)
-        plain: dict = {}
+        forms: dict = {}
         catalog: Counter = Counter()
         for group in dense:
             template, read, parameters = statistical.read_columns(group)
-            if _is_plain(template):
-                plain[read] = (f",{template},", parameters)
+            forms[read] = (f",{template},", parameters)
             for member in group.member_groups:
                 for line_id in member.record_ids:
                     readers[line_id] = read
@@ -351,7 +349,7 @@ def run(
             raise InternalInvariantError(
                 f"record {readers.index(None)} missing from routing output"
             )
-        rows = _Rows(records, readers, plain, config.jobs)
+        rows = _Rows(records, readers, forms)
 
         if out_dir is None:
             ledger.set_wall_time(perf_counter() - started_at)
@@ -369,12 +367,8 @@ def run(
 
 
 def escape_parameters(parameters: Sequence[str]) -> str:
-    """Join parameters with ``|``, escaping ``\\`` as ``\\\\`` and ``|`` as ``\\|``."""
-    joined = "|".join(parameters)
-    # Only the separators hold "|" when the count is one less than the
-    # parameters; with no "\\" either there is nothing to escape.
-    if "\\" not in joined and joined.count("|") < len(parameters):
-        return joined
+    """Join parameters with ``|``, escaping ``\\`` as ``\\\\`` and ``|`` as ``\\|``; a
+    run's dense row whose message holds neither skips this (``_write_rows``)."""
     return "|".join(
         parameter.replace("\\", "\\\\").replace("|", "\\|") for parameter in parameters
     )
@@ -402,9 +396,8 @@ def unescape_parameters(text: str) -> list[str]:
 def _is_plain(field: str) -> bool:
     r"""True when the field holds none of ``,`` ``"`` ``\r`` ``\n`` ``\0``.
 
-    ``csv.writer`` writes such a field as it is on every Python version. It
-    quotes the first four, except ``\r`` before 3.13, and on 3.10 it refuses
-    ``\0``.
+    The writers' ``csv.writer`` (``_Lines``) writes such a field as it is on
+    every Python version. It quotes the first four, and on 3.10 refuses ``\0``.
     """
     # Five substring scans cost about a tenth of one character-class regex search.
     return not (
@@ -413,26 +406,28 @@ def _is_plain(field: str) -> bool:
 
 
 class _Lines(list):
-    """A list that ``csv.writer`` can write to, so that its rows keep their place."""
+    r"""A list that ``csv.writer(lines, lineterminator="\r\n")`` writes to, each
+    line cut to end ``\n`` in its place among those appended directly. That
+    terminator makes Python 3.10-3.12 quote ``\r`` too, as 3.13 does."""
 
-    write = list.append
+    def write(self, line: str) -> None:
+        self.append(line[:-2] + "\n")
 
 
 def _write_rows(
     write: Callable[[str], object], rows: Iterable[tuple], forms: dict | None = None
 ) -> None:
     r"""Pass ``write`` the structured.csv lines of ``rows``, ``_ROWS_PER_WRITE``
-    at a time, as ``csv.writer`` would write them: a caller's ``ParsedRecord``s,
-    or with ``forms`` (``_Rows._plain``) a run's ``(line_id, content, read)``.
-    A run's row whose reader is in ``forms`` and whose content holds none of
-    ``,"\r\n\0|\`` is formatted from one split: its parameters, tokens of the
-    content, need no escaping. Every other row is formatted directly when its
-    fields are all plain (``_is_plain``), else, its bytes or its error, by
-    ``csv.writer`` on every Python version. Whether a template is plain is
-    decided once per template."""
+    at a time, as ``_Lines``' ``csv.writer`` would write them: a caller's
+    ``ParsedRecord``s, or with ``forms`` (``_Rows._forms``) a run's
+    ``(line_id, content, read)``. A run's dense row, whose reader is in
+    ``forms``, is formatted from one split when its content holds none of
+    ``,"\r\n\0|\``: its group's template is made of the content's tokens and
+    ``<*>``, and its parameters, tokens of the content, need no escaping.
+    Every other row is formatted directly when its fields are all plain
+    (``_is_plain``), else, its bytes or its error, by ``csv.writer``."""
     lines = _Lines()
-    append, quoted = lines.append, csv.writer(lines, lineterminator="\n")
-    plain_templates: dict[str, bool] = {}
+    append, quoted = lines.append, csv.writer(lines, lineterminator="\r\n")
     for line_id, content, result in rows:
         if len(lines) >= _ROWS_PER_WRITE:
             write("".join(lines))
@@ -444,21 +439,18 @@ def _write_rows(
                 continue
             result = result(content)
         template, values, _ = result
-        plain = plain_templates.get(template)
-        if plain is None:
-            plain = plain_templates[template] = _is_plain(template)
         parameters = escape_parameters(values)
-        if plain and _is_plain(content) and _is_plain(parameters):
+        if _is_plain(template) and _is_plain(content) and _is_plain(parameters):
             append(f"{line_id},{content},{template},{parameters}\n")
         else:
             quoted.writerow([line_id, content, template, parameters])
     write("".join(lines))
 
 
-def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord]) -> None:
+def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord], jobs: int) -> None:
     """Write structured.csv's header, then its rows: a run's (``_Rows``) in
-    forked children where ``_fork_width`` allows, whose encoded lines the
-    parent appends to ``handle``'s bytes; any other rows in process."""
+    forked children where ``_fork_width`` allows at ``jobs``, whose encoded
+    lines the parent appends to ``handle``'s bytes; any other rows in process."""
     handle.write("LineId,Content,EventTemplate,Parameters\n")
     if not isinstance(rows, _Rows):
         _write_rows(handle.write, rows)
@@ -474,7 +466,7 @@ def _write_structured(handle: TextIO, rows: Sequence[ParsedRecord]) -> None:
             handle.flush()
             shutil.copyfileobj(file, handle.buffer)
 
-    _fork_ranges(len(rows), _fork_width(len(rows), rows.jobs), save, take)
+    _fork_ranges(len(rows), _fork_width(len(rows), jobs), save, take)
 
 
 def write_output(
@@ -489,20 +481,23 @@ def write_output(
 ) -> None:
     """Write structured.csv, templates.csv and run.json into out_dir.
 
-    The wall clock stops after the CSVs are on disk, so the figure recorded in
-    run.json covers ingest, processing and the bulk of output writing. An
-    unwritable directory, or a row ``csv.writer`` refuses, raises ConfigError.
+    A run's rows fork as ``config.jobs`` allows, none without a config
+    (``_write_structured``). The wall clock stops after the CSVs are on disk,
+    so the figure recorded in run.json covers ingest, processing and the bulk
+    of output writing. An unwritable directory, or a row ``csv.writer``
+    (``_Lines``) refuses, raises ConfigError.
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "structured.csv", "w", encoding="utf-8", newline="") as handle:
-            _write_structured(handle, rows)
+            _write_structured(handle, rows, config.jobs if config else 1)
+        lines = _Lines()
+        writer = csv.writer(lines, lineterminator="\r\n")
+        writer.writerow(["EventTemplate", "Occurrences"])
+        writer.writerows(sorted(catalog.items(), key=lambda kv: (-kv[1], kv[0])))
         with open(out / "templates.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["EventTemplate", "Occurrences"])
-            for template, count in sorted(catalog.items(), key=lambda kv: (-kv[1], kv[0])):
-                writer.writerow([template, count])
+            handle.write("".join(lines))
         if started_at is not None:
             ledger.set_wall_time(perf_counter() - started_at)
         report = {

@@ -70,6 +70,9 @@ def read_columns(group: DenseGroup) -> tuple[str, Callable, Callable]:
       constant ``(12)`` column, which masks to ``(<NUM>)``, is a parameter;
     - any other key token is the raw token of every message, so it is constant.
 
+    So each constant token of the template is the token that every member
+    message carries at its position: where a message needs no CSV quoting,
+    neither does the template (``pipeline._write_rows`` relies on this).
     The messages are split here only for a key token of the second kind.
     Adjacent parameter positions form one parameter (``collapse``). The
     parameter reader takes one message of the group, splits it and reads its

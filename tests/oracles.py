@@ -160,18 +160,28 @@ def maskable_positions(tokens) -> set[int]:
     return {position for position, token in enumerate(tokens) if mask_token(token) != token}
 
 
-def naive_write_structured(rows) -> bytes:
-    """structured.csv as bytes, written one ``csv.writer.writerow`` per row."""
+def naive_csv_line(fields) -> str:
+    """The line a fresh ``csv.writer`` with its default ``lineterminator="\\r\\n"``
+    writes for ``fields``, that terminator cut to ``\\n``. Python 3.10-3.12
+    quote a field holding ``\\r`` only when the terminator holds one, so this
+    is the line Python 3.13 writes, on every version."""
     buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["LineId", "Content", "EventTemplate", "Parameters"])
+    csv.writer(buffer).writerow(fields)
+    return buffer.getvalue().removesuffix("\r\n") + "\n"
+
+
+def naive_write_structured(rows) -> bytes:
+    """structured.csv as bytes, one ``naive_csv_line`` per row."""
+    lines = [naive_csv_line(["LineId", "Content", "EventTemplate", "Parameters"])]
     for row in rows:
         escaped = [
             parameter.replace("\\", "\\\\").replace("|", "\\|")
             for parameter in row.result.parameters
         ]
-        writer.writerow([row.line_id, row.content, row.result.template, "|".join(escaped)])
-    return buffer.getvalue().encode("utf-8")
+        lines.append(
+            naive_csv_line([row.line_id, row.content, row.result.template, "|".join(escaped)])
+        )
+    return "".join(lines).encode("utf-8")
 
 
 def naive_post_process(template: str) -> str:

@@ -261,6 +261,33 @@ class TestEvalCommand:
         # run.json sits next to structured.csv, so cost counters flow through.
         assert payload["ledger"]["llm_invocations"] == 0
 
+    def test_carriage_return_inside_a_line_round_trips(self, tmp_path, capsys):
+        # Raw input keeps a "\r" inside a line. Python 3.10-3.12's csv.writer
+        # leaves it unquoted at lineterminator="\n", which split a row of
+        # either file in two when read back; every version must quote it.
+        lines = [f"copy {index} of blocks\rdone now" for index in range(10)]
+        lines += ["zzz\rline here now", "alpha beta gamma delta", "epsilon zeta eta theta",
+                  "iota kappa lambda mu"]
+        log = write_lines(tmp_path / "cr.log", lines)
+        out = tmp_path / "out"
+        result = celerlog.run(log, RouterConfig(jobs=1), out_dir=out)
+        assert {row.result.source for row in result.rows if "\r" in row.content} == {
+            "statistical", "rollback"
+        }
+        with open(out / "templates.csv", newline="", encoding="utf-8") as handle:
+            read_back = list(csv.reader(handle))[1:]
+        assert sorted(read_back) == sorted([t, str(n)] for t, n in result.catalog.items())
+        assert len(read_back) == len(result.catalog)
+
+        report = tmp_path / "report.json"
+        structured = str(out / "structured.csv")
+        code = main([
+            "eval", "--structured", structured, "--ground-truth", structured,
+            "--report", str(report),
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads(report.read_text())["metrics"]["GA"] == 1.0
+
     def test_structured_field_over_the_field_limit_exits_2(self, tmp_path, capsys):
         # parse writes a 200k-character line as one structured.csv field,
         # which csv.reader refuses to read back at its default field limit.

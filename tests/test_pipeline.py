@@ -559,6 +559,21 @@ def oracle_corpora(draw):
     return lines
 
 
+#: Five mutually dissimilar lines of one length bucket. Past the anchor budget
+#: three go sparse: two the mock backend answers (a token with a digit) and
+#: one it rolls back, holding between them ``,`` ``"`` ``|`` ``\`` and a
+#: mid-line ``\r``, once as the only character of a field that needs quoting.
+#: NUL is left out, since Python 3.10's csv.writer refuses it;
+#: ``test_run_bytes_equal_csv_writer`` covers that in a dense row.
+_QUOTED_SPARSE_LINES = [
+    "alpha beta gamma delta epsilon",
+    "open the file now 42",
+    "pipe a|b joins c\\d more",
+    'path x,y "left"\rright there',
+    "sent q7 to\ra|7 peers",
+]
+
+
 class TestRun:
     def test_snapshot_catalog(self, tmp_path):
         path = write_lines(tmp_path / "in.log", fig5_lines())
@@ -983,6 +998,25 @@ class TestRun:
         assert result.rows[10:20] == expected[10:20]
         assert result.catalog == Counter(row.result.template for row in expected)
 
+    def test_record_missing_from_routing_output_raises(self, tmp_path, monkeypatch):
+        # route() places every record in one group; a record id dropped from
+        # a dense member leaves its record without a reader, and run() names it.
+        path = write_lines(tmp_path / "in.log", fig5_lines())
+        dropped = []
+
+        def route_dropping_one(*args):
+            dense, sparse, stats = route(*args)
+            member, *others = dense[0].member_groups
+            dropped.append(member.record_ids[1])
+            kept = member._replace(record_ids=member.record_ids[:1] + member.record_ids[2:])
+            dense[0] = dense[0]._replace(member_groups=(kept, *others))
+            return dense, sparse, stats
+
+        monkeypatch.setattr(pipeline, "route", route_dropping_one)
+        with pytest.raises(InternalInvariantError) as raised:
+            run(path, RouterConfig(jobs=1), MockBackend())
+        assert str(raised.value) == f"record {dropped[0]} missing from routing output"
+
     def test_group_unlike_its_keys_raises_when_rows_are_read(self, tmp_path, monkeypatch):
         # route() never builds this group: a key of two tokens over a message
         # of three. The reader raises on that message while run() writes.
@@ -1018,6 +1052,7 @@ class TestRun:
     @given(oracle_corpora())
     @example(["took (12) ms", "took (12) ms", "copy 0x1f\tto  a|b", "copy 0XAB\xa0to x,y"])
     @example(["é ٣ <NUM>", "<*> <ABC> c\\d", "worker 42 ready", "worker -12 ready"])
+    @example(_QUOTED_SPARSE_LINES)
     def test_run_equals_naive_run(self, lines):
         # The whole run against the chain of oracles, in process at jobs=1
         # and forked at jobs=2: a fault between layers, such as a reader given
@@ -1031,6 +1066,27 @@ class TestRun:
                 result = run(path, RouterConfig(jobs=jobs), MockBackend(), out_dir=out)
                 assert (out / "structured.csv").read_bytes() == expected
                 assert result.catalog == catalog
+
+    def test_quoted_sparse_example_routes_sparse(self, tmp_path):
+        # From a run the general formatter gets mostly sparse rows, so an
+        # example of test_run_equals_naive_run must keep writing sparse rows,
+        # answered and rolled back, that need quoting or escaping.
+        path = write_lines(tmp_path / "in.log", fork_sized(_QUOTED_SPARSE_LINES))
+        fields: dict[str, set[str]] = {}
+        for row in run(path, RouterConfig(jobs=1), MockBackend()).rows:
+            if row.result.source != SOURCE_STATISTICAL:
+                fields.setdefault(row.result.source, set()).update(
+                    (row.content, row.result.template, escape_parameters(row.result.parameters))
+                )
+        texts = {source: "".join(found) for source, found in fields.items()}
+        assert texts.keys() == {SOURCE_LLM, SOURCE_ROLLBACK}
+        assert all("\r" in text for text in texts.values())
+        assert all(char in "".join(texts.values()) for char in ',"|\\')
+        assert any(
+            "\r" in field and pipeline._is_plain(field.replace("\r", ""))
+            for found in fields.values()
+            for field in found
+        )
 
 
 # Every character csv.writer treats specially, edge spaces, the parameter
@@ -1136,8 +1192,7 @@ _DENSE_FEATURES = {
     "non-ascii": lambda content, template: not content.isascii(),
     "template-comma": lambda content, template: "," in template,
     "template-quote": lambda content, template: '"' in template,
-    "fast-row": lambda content, template: pipeline._is_plain(template)
-    and not any(char in content for char in ',"\r\n\0|\\'),
+    "fast-row": lambda content, template: not any(char in content for char in ',"\r\n\0|\\'),
 }
 
 
@@ -1194,6 +1249,8 @@ class TestWriteOutput:
     @example(([(" x ", "", [])], 1))
     @example(([("a\0b", "a <*>", [])], 1))
     def test_structured_bytes_equal_csv_writer(self, case):
+        # The oracle writes Python 3.13's bytes on every version: "a\rb"
+        # quoted, which 3.10-3.12 leave bare at lineterminator="\n".
         rows = structured_rows(case)
         try:
             expected = naive_write_structured(rows)
@@ -1252,11 +1309,12 @@ class TestWriteOutput:
     @example(["open k=1", "open k=2"])
     @example(["k=1\x002 open"])
     def test_run_bytes_equal_csv_writer(self, lines):
-        # A run formats most dense rows from their groups' columns, not
-        # through csv.writer: its bytes must still be csv.writer's for its
-        # rows, in process at jobs=1 and forked at jobs=2. A run costs tens
-        # of milliseconds, so this test takes a tenth of the profile's
-        # examples: 10, or 2,000 under the deep profile.
+        # A run formats each dense row whose message needs no quoting or
+        # escaping from its group's columns, not through csv.writer: its
+        # bytes must still be the oracle's for its rows, in process at
+        # jobs=1 and forked at jobs=2. A run costs tens of milliseconds, so
+        # this test takes a tenth of the profile's examples: 10, or 2,000
+        # under the deep profile.
         with tempfile.TemporaryDirectory() as directory:
             path = write_lines(Path(directory) / "in.log", fork_sized(lines))
             try:
@@ -1283,8 +1341,29 @@ class TestWriteOutput:
         assert fork_log.files == []
         assert (tmp_path / "out" / "structured.csv").read_bytes() == naive_write_structured(rows)
 
+    @pytest.mark.usefixtures("fork_from_2500")
+    @needs_fork
+    @pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs to fork")
+    def test_run_rows_fork_by_the_config_given(self, tmp_path, fork_log):
+        # The rows of a jobs=2 run fork as the config write_output is handed
+        # allows, not as the run's own config did.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        result = run(path, RouterConfig(jobs=2), MockBackend(), out_dir=tmp_path / "run")
+        assert fork_log.statuses == [0, 0]
+        fork_log.statuses.clear()
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            config = RouterConfig(jobs=jobs)
+            write_output(result.rows, result.catalog, CostLedger(), out, config=config)
+            assert fork_log.statuses == [0] * (jobs - 1)
+            assert (out / "structured.csv").read_bytes() == (
+                tmp_path / "run" / "structured.csv"
+            ).read_bytes()
+        assert_clean(fork_log)
+
     def test_row_refused_by_csv_writer_is_config_error(self, tmp_path, monkeypatch):
-        def refuse(handle, rows):
+        def refuse(handle, rows, jobs):
             raise csv.Error("need to escape, but no escapechar set")
 
         monkeypatch.setattr(pipeline, "_write_structured", refuse)
