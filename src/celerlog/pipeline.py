@@ -32,6 +32,7 @@ forked with it off, and inherit that state.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import json
@@ -42,8 +43,7 @@ import tempfile
 import threading
 from collections import Counter
 from contextlib import suppress
-from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -110,6 +110,10 @@ def ingest(
     as line breaks stay inside the record. Blank records are skipped and
     counted, and undecodable bytes are replaced and counted rather than
     fatal. A UTF-8 byte-order mark at the start of the file is dropped.
+
+    The file is read one line at a time, and nothing of it is held but the
+    records. Byte 0x0A is never part of a multi-byte UTF-8 sequence, so each
+    line decodes as it would in the whole file.
     """
     path = Path(path)
     if not path.is_file():
@@ -117,54 +121,48 @@ def ingest(
     if input_format not in ("raw", "csv"):
         raise ConfigError(f"unknown input format: {input_format!r}")
     compiled = compile_header_pattern(header_pattern) if header_pattern else None
+    decode_errors = 0
 
-    # Neither the bytes nor the decoded text outlives the step that needs it:
-    # holding the bytes, the text and the lines together peaked at about 3.8
-    # times the file size. U+FFFD characters already in the file decode as
-    # themselves and are not decode errors.
-    data = path.read_bytes()
-    valid_replacements = data.count("\ufffd".encode())
-    text = data.decode("utf-8-sig", errors="replace")
-    del data
-    decode_errors = text.count("\ufffd") - valid_replacements
-    lines = text.split("\n")
-    del text
+    def decoded(file):
+        # U+FFFD characters already in the file decode as themselves and are
+        # not decode errors.
+        nonlocal decode_errors
+        for line in file:
+            text = line.decode("utf-8", "replace")
+            if "\ufffd" in text:
+                decode_errors += text.count("\ufffd") - line.count("\ufffd".encode())
+            yield text
 
     records: list[LogRecord] = []
     blank = 0
-    try:
-        if input_format == "raw":
-            if lines[-1] == "":
-                lines.pop()
-            contents = map(str.removesuffix, lines, repeat("\r"))
-        else:
-            # One blank per row: an empty line, or a row whose Content is
-            # blank or missing. Line breaks inside a quoted field belong to
-            # its row. The reader gets the lines a StringIO of the text would
-            # yield, the last without "\n", but not its copy of the text at 4
-            # bytes a character: reversed behind a None, each line is popped,
-            # so freed, as the reader takes it.
-            last = lines.pop()
-            lines.append(None)
-            lines.reverse()
-            taken = map(add, iter(lines.pop, None), repeat("\n"))
-            reader = csv.reader(chain(taken, [last] if last else ()))
-            header = next(reader, None)
-            if header is None or "Content" not in header:
-                raise ConfigError(f"structured input {path} has no Content column")
-            column = header.index("Content")
-            contents = (row[column] if column < len(row) else "" for row in reader)
-        for content in contents:
-            if compiled is not None:
-                content = strip_header(content, compiled)
-            # Same as ``not content.strip()``, without the copy.
-            if not content or content.isspace():
-                blank += 1
-                continue
-            records.append(LogRecord(len(records), content))
-    except csv.Error as exc:
-        # Raised, among others, for a field over csv.field_size_limit().
-        raise ConfigError(f"cannot read structured input {path}: {exc}") from exc
+    with path.open("rb") as file:
+        if file.read(3) != codecs.BOM_UTF8:
+            file.seek(0)
+        lines = decoded(file)
+        try:
+            if input_format == "raw":
+                contents = (line.removesuffix("\n").removesuffix("\r") for line in lines)
+            else:
+                # One blank per row: an empty line, or a row whose Content is
+                # blank or missing. Line breaks inside a quoted field belong
+                # to its row.
+                reader = csv.reader(lines)
+                header = next(reader, None)
+                if header is None or "Content" not in header:
+                    raise ConfigError(f"structured input {path} has no Content column")
+                column = header.index("Content")
+                contents = (row[column] if column < len(row) else "" for row in reader)
+            for content in contents:
+                if compiled is not None:
+                    content = strip_header(content, compiled)
+                # Same as ``not content.strip()``, without the copy.
+                if not content or content.isspace():
+                    blank += 1
+                    continue
+                records.append(LogRecord(len(records), content))
+        except csv.Error as exc:
+            # Raised, among others, for a field over csv.field_size_limit().
+            raise ConfigError(f"cannot read structured input {path}: {exc}") from exc
 
     stats = IngestStats(record_count=len(records), blank_lines=blank, decode_errors=decode_errors)
     return records, stats

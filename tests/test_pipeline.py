@@ -98,16 +98,31 @@ def forks(jobs):
     return jobs > 1 and hasattr(os, "fork") and usable
 
 
+def stringio_raw_ingest(path):
+    """Raw ingest as the whole file decoded at once reads it: (contents, blank
+    lines, decode errors), one line per "\n" with one "\r" then dropped."""
+    data = path.read_bytes()
+    text = data.decode("utf-8-sig", errors="replace")
+    decode_errors = text.count("\ufffd") - data.count("\ufffd".encode())
+    lines = io.StringIO(text, newline="\n")
+    contents = [line.removesuffix("\n").removesuffix("\r") for line in lines]
+    return [c for c in contents if c.strip()], sum(not c.strip() for c in contents), decode_errors
+
+
 def stringio_csv_ingest(path):
     """CSV ingest as ``csv.reader`` over a StringIO of the decoded text reads it:
-    (contents, blank rows, decode errors), or None when the reader refuses it."""
+    (contents, blank rows, decode errors), or None when the reader refuses it
+    or it has no ``Content`` column."""
     data = path.read_bytes()
     text = data.decode("utf-8-sig", errors="replace")
     decode_errors = text.count("\ufffd") - data.count("\ufffd".encode())
     contents, blank = [], 0
     try:
         rows = csv.reader(io.StringIO(text))
-        column = next(rows).index("Content")
+        header = next(rows, [])
+        if "Content" not in header:
+            return None
+        column = header.index("Content")
         for row in rows:
             content = row[column] if column < len(row) else ""
             if content.strip():
@@ -117,6 +132,22 @@ def stringio_csv_ingest(path):
     except csv.Error:
         return None
     return contents, blank, decode_errors
+
+
+#: Byte strings that ingest's differential test joins into files: byte-order
+#: marks and their fragments, "\r", quotes and commas, genuine U+FFFD, invalid
+#: bytes and multi-byte sequences cut short.
+_INGEST_BYTES = [
+    b"\xef\xbb\xbf", b"\xef", b"\xef\xbb", b"\xbb\xbf", b"\r", b"\n", b"\r\n", b'"', b",",
+    b"\xef\xbf\xbd", b"\xff", b"\xe2\x82", b"\xc3", b"\xf0\x9f\x98", b"\xe2\x82\xac", b"a", b" ",
+]
+
+
+@pytest.fixture(scope="class")
+def ingest_file(tmp_path_factory):
+    """One file that each example of a property test rewrites: Hypothesis
+    refuses the function-scoped ``tmp_path``."""
+    return tmp_path_factory.mktemp("ingest") / "in"
 
 
 class TestIngest:
@@ -203,9 +234,10 @@ class TestIngest:
         assert [r.content for r in records] == ["worker ready", "worker busy"]
 
     def test_raw_ingest_peak_stays_below_three_file_sizes(self, tmp_path):
-        # About 200 bytes a line, as in the benchmark corpora. Holding the
-        # bytes, the decoded text and the lines at once peaks at about 3.7
-        # times the file size; releasing the bytes and the text, at about 2.3.
+        # About 200 bytes a line, as in the benchmark corpora. Ingest holds
+        # nothing of the file but the records, about 1.7 times the file size,
+        # so its peak is what it returns. Holding the file's bytes, text or
+        # list of lines on the way peaked at 1.34 times that.
         lines = [
             f"worker {index} sent {index * 7} bytes to 10.0.{index % 256}.1 "
             + " ".join(["through the replica channel of shard queue"] * 4)
@@ -215,11 +247,12 @@ class TestIngest:
         tracemalloc.start()
         try:
             records, _ = ingest(path)
-            _, peak = tracemalloc.get_traced_memory()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(records) == len(lines)
         assert peak < 3.0 * path.stat().st_size
+        assert peak <= 1.1 * kept
 
     @pytest.mark.parametrize(
         "data",
@@ -264,16 +297,37 @@ class TestIngest:
         ids=["crlf-at-end", "bare-last-line", "bare-cr-last-line", "only-newlines", "empty"],
     )
     def test_raw_reads_as_a_stringio_of_the_text(self, tmp_path, data):
-        # A StringIO that splits at "\n" only, each line's "\n" and then one
-        # "\r" dropped.
         path = tmp_path / "in.log"
         path.write_bytes(data)
-        lines = io.StringIO(data.decode(), newline="\n")
-        contents = [line.removesuffix("\n").removesuffix("\r") for line in lines]
         records, stats = ingest(path)
-        assert [r.content for r in records] == [c for c in contents if c.strip()]
-        assert stats.blank_lines == sum(not c.strip() for c in contents)
+        expected = stringio_raw_ingest(path)
+        assert ([r.content for r in records], stats.blank_lines, stats.decode_errors) == expected
         assert [r.line_id for r in records] == list(range(len(records)))
+
+    @pytest.mark.parametrize("input_format", ["raw", "csv"])
+    @given(
+        data=st.lists(st.sampled_from(_INGEST_BYTES), max_size=24).map(b"".join),
+        header=st.booleans(),
+    )
+    @example(data=b"a \xe2\x82\nb \xc3\n", header=True)
+    @example(data=b"\xef\xbb x\n", header=False)
+    @example(data=b"\xef\xbb\xbf", header=False)
+    @example(data=b"a\n", header=True)
+    @example(data=b"\xef\xbf\xbd\xff\n", header=True)
+    def test_reads_as_the_whole_file_decoded(self, ingest_file, input_format, data, header):
+        # Ingest decodes one line at a time; the oracles decode the whole
+        # file at once. Invalid and truncated sequences before "\n", byte-order
+        # marks and their fragments, genuine U+FFFD and stray "\r" must read
+        # the same either way.
+        ingest_file.write_bytes(b"Content\n" + data if header else data)
+        oracle = stringio_raw_ingest if input_format == "raw" else stringio_csv_ingest
+        expected = oracle(ingest_file)
+        if expected is None:
+            with pytest.raises(ConfigError):
+                ingest(ingest_file, input_format=input_format)
+            return
+        records, stats = ingest(ingest_file, input_format=input_format)
+        assert ([r.content for r in records], stats.blank_lines, stats.decode_errors) == expected
 
     def test_header_pattern_applied_to_csv_content(self, tmp_path):
         # The pattern strips each Content; a Content it does not match stays
@@ -293,9 +347,10 @@ class TestIngest:
             ingest(path, input_format="xml")
 
     def test_csv_ingest_peak_stays_below_three_file_sizes(self, tmp_path):
-        # The lines of the raw test as a CSV. A StringIO of the text, kept
-        # beside the text at 4 bytes a character, peaked at about 6.7 times
-        # the file size; lines freed as the reader takes them, at about 2.3.
+        # The lines of the raw test as a CSV. The reader takes one decoded
+        # line at a time, so the peak is the records, about 1.7 times the
+        # file size. A StringIO of the whole text peaked at about 6.7 times
+        # the file size, and a list of the lines at 1.37 times the records.
         path = tmp_path / "in.csv"
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -309,11 +364,12 @@ class TestIngest:
         tracemalloc.start()
         try:
             records, _ = ingest(path, input_format="csv")
-            _, peak = tracemalloc.get_traced_memory()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(records) == 5000
         assert peak < 3.0 * path.stat().st_size
+        assert peak <= 1.1 * kept
 
 
 class TestRunMemory:
@@ -417,6 +473,13 @@ class TestPoolWorkers:
         if not fork:
             monkeypatch.delattr(os, "fork")
         assert pipeline._fork_width(count, jobs) == workers
+
+    def test_usable_cpus_without_affinity_counts_every_core(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert pipeline._usable_cpus() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pipeline._usable_cpus() == 1
 
 
 class TestMaskOnPool:
