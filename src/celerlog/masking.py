@@ -31,7 +31,10 @@ of the content slices between them, so a hit costs one shape, one lookup and
 one format. A shape gets its plan the second time it is seen, so contents
 whose shapes never come back build none. Plans are kept only for contents
 whose tokens are separated by single spaces, with none at either end; every
-other content, and every miss, takes the token path.
+other content, and every miss, takes the token path. ``skeletons`` masks a
+sequence of contents in order and takes their shapes a batch at a time, from
+one pass over the batch joined by ``\n``, so a hit's shape costs no call of
+its own.
 
 On the token path, masked tokens are cached by token. Behind that, an ASCII
 token's classification is cached by its shape: the rule regex runs once per
@@ -44,7 +47,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .model import PLACEHOLDER, CelerlogError, ConfigError
 
@@ -147,8 +152,9 @@ def _blank_run(match: re.Match) -> bytes:
 
 
 def _shape(text: str) -> bytes:
-    """The shape of an ASCII token or content (module docstring)."""
-    data = text.encode()
+    """The shape of an ASCII token or content (module docstring). Any text
+    encodes, lone surrogates included, but only an ASCII one has a shape."""
+    data = text.encode("utf-8", "surrogatepass")
     if b"0x" in data or b"0X" in data:
         data = _hex_runs().sub(_blank_run, data)
     return data.translate(_COARSE_SHAPE)
@@ -304,24 +310,24 @@ def _plan(tokens: list[str], masked: list[str]) -> tuple[str, itemgetter]:
     return fmt, itemgetter(*slices)
 
 
-def skeleton(content: str) -> str:
-    """The masked skeleton of a message: its masked tokens joined by single spaces.
+def _masked(content: str, key: bytes | None) -> str:
+    """The skeleton of a message whose shape is ``key`` if it is ASCII.
 
     Messages of one shape share a plan (module docstring). The first message
     of a shape leaves its key, and the second the plan, so a message whose
     shape never comes back builds no plan; these and the other messages are
-    masked token for token.
+    masked token for token. ``skeleton`` and ``skeletons`` both mask here.
     """
-    key = None
     plan = False
     if content.isascii() and not (
         "<" in content and any(mask in content for mask in MASK_TOKEN_SET)
     ):
-        key = _shape(content)
         plan = _PLAN_CACHE.get(key, False)
         if plan:
             fmt, getter = plan
             return fmt % getter(content)
+    else:
+        key = None
     tokens = content.split()
     if not tokens:
         raise EmptyMessageError("cannot mask an empty message")
@@ -332,6 +338,35 @@ def skeleton(content: str) -> str:
         elif " ".join(tokens) == content:
             _PLAN_CACHE[key] = _plan(tokens, masked)
     return " ".join(masked)
+
+
+def skeleton(content: str) -> str:
+    """The masked skeleton of a message: its masked tokens joined by single spaces."""
+    return _masked(content, _shape(content) if content.isascii() else None)
+
+
+#: Contents that ``skeletons`` shapes in one pass.
+_BATCH_SIZE = 1024
+
+
+def skeletons(contents: Iterable[str]) -> Iterator[str]:
+    """The skeleton of each content, in order, as ``skeleton`` gives it.
+
+    The contents are taken ``_BATCH_SIZE`` at a time, and each batch is
+    shaped as one text: its contents joined by ``\n``, encoded, hex-blanked
+    and translated once, then split at ``\n``. A hex run holds no ``\n``, so
+    each piece is that content's shape byte for byte. A batch whose split
+    gives another count, because a content holds ``\n``, is masked content
+    by content. The skeletons come batch by batch, so none of a long input
+    is held at once.
+    """
+    contents = iter(contents)
+    while batch := list(islice(contents, _BATCH_SIZE)):
+        shapes = _shape("\n".join(batch)).split(b"\n")
+        if len(shapes) == len(batch):
+            yield from map(_masked, batch, shapes)
+        else:
+            yield from map(skeleton, batch)
 
 
 def mask_message(content: str) -> tuple[str, tuple[str, ...]]:

@@ -1,8 +1,11 @@
 """End-to-end orchestration: ingest, route, process, write outputs.
 
 ``run()`` takes the same path at every ``jobs`` value and routes through
-``routing.route()``, the one routing path. Its phases run in order on the
-calling thread: masking and grouping, then every dense group's template and
+``routing.route()``, the one routing path. It holds the input as a list of
+contents, one string per record whose index is its line id, and builds no
+record object per line (``ingest`` numbers them for library callers). Its
+phases run in order on the calling thread: masking (``masking.skeletons``,
+streamed into grouping) and grouping, then every dense group's template and
 reader of its messages (``statistical.read_columns``), then
 ``llm.process_sparse`` for the sparse groups, so a dense-side error raises
 before any LLM request is sent. Threads start only inside
@@ -15,7 +18,7 @@ message, the group's template and its parameter reader (``_write_rows``).
 
 When ``_fork_width`` allows, masking and formatting the rows of
 structured.csv run in forked children over contiguous index ranges
-(``_fork_ranges``). The children inherit the records and the readers
+(``_fork_ranges``). The children inherit the contents and the readers
 unpickled and leave each range's result in an unlinked temporary file; the
 parent works the first range, then takes the others in record order and
 works the range of any child that failed itself. So the bytes, and any
@@ -43,13 +46,12 @@ import tempfile
 import threading
 from collections import Counter
 from contextlib import suppress
-from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import llm, statistical
-from .masking import compile_header_pattern, skeleton, strip_header
+from .masking import compile_header_pattern, skeletons, strip_header
 from .model import (
     ConfigError, CostLedger, InternalInvariantError, LogRecord, RouterConfig, TemplateResult
 )
@@ -102,7 +104,18 @@ class RunResult(NamedTuple):
 def ingest(
     path: str | Path, input_format: str = "raw", header_pattern: str | None = None
 ) -> tuple[list[LogRecord], IngestStats]:
-    """Read records from a raw log file or a structured CSV.
+    """Read records from a raw log file or a structured CSV, numbered from 0
+    in input order. The reading is ``_read_contents``'s, which ``run()`` calls
+    itself, so that it holds one string per record and no record object."""
+    contents, stats = _read_contents(path, input_format, header_pattern)
+    return list(map(LogRecord, range(len(contents)), contents)), stats
+
+
+def _read_contents(
+    path: str | Path, input_format: str = "raw", header_pattern: str | None = None
+) -> tuple[list[str], IngestStats]:
+    """Read the record contents of a raw log file or a structured CSV, in
+    order, so that a record's line id is its index.
 
     Raw input takes one record per ``\n``-terminated line (a trailing ``\r``
     dropped); CSV input reads the ``Content`` column. A header pattern strips
@@ -112,7 +125,7 @@ def ingest(
     fatal. A UTF-8 byte-order mark at the start of the file is dropped.
 
     The file is read one line at a time, and nothing of it is held but the
-    records. Byte 0x0A is never part of a multi-byte UTF-8 sequence, so each
+    contents. Byte 0x0A is never part of a multi-byte UTF-8 sequence, so each
     line decodes as it would in the whole file.
     """
     path = Path(path)
@@ -133,7 +146,7 @@ def ingest(
                 decode_errors += text.count("\ufffd") - line.count("\ufffd".encode())
             yield text
 
-    records: list[LogRecord] = []
+    kept: list[str] = []
     blank = 0
     with path.open("rb") as file:
         if file.read(3) != codecs.BOM_UTF8:
@@ -159,13 +172,13 @@ def ingest(
                 if not content or content.isspace():
                     blank += 1
                     continue
-                records.append(LogRecord(len(records), content))
+                kept.append(content)
         except csv.Error as exc:
             # Raised, among others, for a field over csv.field_size_limit().
             raise ConfigError(f"cannot read structured input {path}: {exc}") from exc
 
-    stats = IngestStats(record_count=len(records), blank_lines=blank, decode_errors=decode_errors)
-    return records, stats
+    stats = IngestStats(record_count=len(kept), blank_lines=blank, decode_errors=decode_errors)
+    return kept, stats
 
 
 def _usable_cpus() -> int:
@@ -230,15 +243,15 @@ def _fork_ranges(count: int, workers: int, save: Callable, take: Callable) -> No
                 file.close()
 
 
-def _mask_forked(records: Sequence[LogRecord], workers: int) -> list[str]:
-    """The records' skeletons in record order, one object per distinct one:
-    the parent deduplicates each range once as it takes it, and a child its
-    own range first, so that marshal writes and loads each skeleton once."""
+def _mask_forked(contents: Sequence[str], workers: int) -> list[str]:
+    """The contents' skeletons in order, one object per distinct one: the
+    parent deduplicates each range once as it takes it, and a child its own
+    range first, so that marshal writes and loads each skeleton once."""
     seen: dict[str, str] = {}
-    skeletons: list[str] = []
+    ordered: list[str] = []
 
     def mask(start, stop):
-        return [skeleton(content) for _, content in records[start:stop]]
+        return list(skeletons(contents[start:stop]))
 
     def save(start, stop, file):
         keys = mask(start, stop)
@@ -246,49 +259,50 @@ def _mask_forked(records: Sequence[LogRecord], workers: int) -> list[str]:
 
     def take(start, stop, file):
         keys = marshal.load(file) if file else mask(start, stop)
-        skeletons.extend(map(seen.setdefault, keys, keys))
+        ordered.extend(map(seen.setdefault, keys, keys))
 
-    _fork_ranges(len(records), workers, save, take)
-    return skeletons
+    _fork_ranges(len(contents), workers, save, take)
+    return ordered
 
 
 class _Rows(Sequence[ParsedRecord]):
     """A run's rows in record order, each built when it is read.
 
-    ``readers[i]`` returns the result of record ``i``'s content: a dense
-    group's reader (``statistical.read_columns``), which splits the message
-    and reads its parameters, or the lookup into the sparse results. So the
-    rows cost memory only while they are written. ``forms`` maps the reader
+    ``contents[i]`` is the content of record ``i``, and ``readers[i]``
+    returns its result: a dense group's reader (``statistical.read_columns``),
+    which splits the message and reads its parameters, or the lookup into the
+    sparse results. So the rows cost memory only while they are written. ``forms`` maps the reader
     of every dense group to the text ``,template,`` and the group's
     parameter reader.
     """
 
-    __slots__ = ("_records", "_readers", "_forms")
+    __slots__ = ("_contents", "_readers", "_forms")
 
-    def __init__(self, records: Sequence[LogRecord], readers: list, forms: dict):
-        self._records = records
+    def __init__(self, contents: Sequence[str], readers: list, forms: dict):
+        self._contents = contents
         self._readers = readers
         self._forms = forms
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._contents)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        line_id, content = self._records[index]
-        return ParsedRecord(line_id, content, self._readers[index](content))
+        # A negative index counts from the end; the line id is the record's.
+        line_id = range(len(self))[index]
+        content = self._contents[line_id]
+        return ParsedRecord(line_id, content, self._readers[line_id](content))
 
     def __iter__(self) -> Iterator[ParsedRecord]:
-        for (line_id, content), read in zip(self._records, self._readers):
+        for line_id, (content, read) in enumerate(zip(self._contents, self._readers)):
             yield ParsedRecord(line_id, content, read(content))
 
     def write_lines(self, write: Callable[[str], object], start: int, stop: int) -> None:
         """Pass ``write`` the structured.csv lines of rows ``start`` to ``stop``
-        (``_write_rows``), built from the records and readers themselves."""
-        records = self._records[start:stop]
-        ids, contents = map(itemgetter(0), records), map(itemgetter(1), records)
-        _write_rows(write, zip(ids, contents, self._readers[start:stop]), self._forms)
+        (``_write_rows``), built from the contents and readers themselves."""
+        rows = zip(range(start, stop), self._contents[start:stop], self._readers[start:stop])
+        _write_rows(write, rows, self._forms)
 
 
 def run(
@@ -309,18 +323,21 @@ def run(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        records, ingest_stats = ingest(input_path, input_format, header_pattern)
+        contents, ingest_stats = _read_contents(input_path, input_format, header_pattern)
         ledger = CostLedger()
-        workers = _fork_width(len(records), config.jobs)
+        workers = _fork_width(len(contents), config.jobs)
         # The skeletons go straight into route(), so they die when it returns
-        # instead of living through extraction and writing.
+        # instead of living through extraction and writing; in process they
+        # stream, one batch at a time.
         dense, sparse, routing_stats = route(
-            records, config, _mask_forked(records, workers) if workers > 1 else None
+            enumerate(contents),
+            config,
+            _mask_forked(contents, workers) if workers > 1 else skeletons(contents),
         )
         ledger.add_routing_counts(routing_stats.dense_records, routing_stats.sparse_records)
 
-        # ingest numbers the records from 0, so a line id indexes ``readers``.
-        readers: list = [None] * len(records)
+        # A line id is the index of its content, and of its reader.
+        readers: list = [None] * len(contents)
         forms: dict = {}
         catalog: Counter = Counter()
         for group in dense:
@@ -342,12 +359,12 @@ def run(
         for item in sparse:
             for line_id in item.group.record_ids:
                 readers[line_id] = lookup
-                catalog[lookup(records[line_id].content).template] += 1
+                catalog[lookup(contents[line_id]).template] += 1
         if None in readers:
             raise InternalInvariantError(
                 f"record {readers.index(None)} missing from routing output"
             )
-        rows = _Rows(records, readers, forms)
+        rows = _Rows(contents, readers, forms)
 
         if out_dir is None:
             ledger.set_wall_time(perf_counter() - started_at)

@@ -12,8 +12,9 @@ anchor with every candidate (the token-position idea of Drain's fixed-depth
 tree).
 
 ``route()`` is the one routing path, for library callers and ``pipeline.run``
-alike. It takes optional precomputed skeletons, which ``pipeline.run`` fills
-from forked masking processes on large inputs, merges the buckets in length
+alike. It takes ``(line_id, content)`` pairs and optional precomputed
+skeletons, which ``pipeline.run`` passes as a stream from ``masking.skeletons``
+or as the list its forked masking processes made, merges the buckets in length
 order and builds the ``RoutingStats``; a failing bucket fails the run with its
 length named.
 """
@@ -25,12 +26,12 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .masking import extract_verbs, skeleton
+from . import masking
+from .masking import extract_verbs
 from .model import (
     DenseGroup,
     InternalInvariantError,
     LogBucket,
-    LogRecord,
     RouterConfig,
     SkeletonGroup,
     SparseGroup,
@@ -69,19 +70,22 @@ class RoutingStats(NamedTuple):
 
 
 def group_by_skeleton(
-    records: Sequence[LogRecord],
-    skeletons: Sequence[str] | None = None,
+    records: Iterable[tuple[int, str]],
+    skeletons: Iterable[str] | None = None,
 ) -> list[SkeletonGroup]:
-    """Group records by masked skeleton, one group per distinct skeleton,
-    through one dict from each skeleton to its contents and line ids.
+    """Group ``(line_id, content)`` records (``LogRecord``s, or an
+    ``enumerate`` of contents) by masked skeleton, one group per distinct
+    skeleton, through one dict from each skeleton to its contents and line ids.
 
     Precomputed skeletons, one per record (another count raises ValueError),
     may be passed in so callers can mask in parallel; otherwise masking
-    happens here.
+    happens here (``masking.skeletons``), which reads the records a second
+    time, so they must then be a sequence.
     """
+    if skeletons is None:
+        skeletons = masking.skeletons(content for _, content in records)
     by_key: dict[str, tuple[set[str], list[int]]] = {}
-    keys = skeletons if skeletons is not None else (skeleton(content) for _, content in records)
-    for key, (line_id, content) in zip(keys, records, strict=True):
+    for key, (line_id, content) in zip(skeletons, records, strict=True):
         found = by_key.get(key)
         if found is None:
             by_key[key] = ({content}, [line_id])
@@ -156,7 +160,8 @@ def merge_bucket(
     ``m / (2L - m)``. The bucket is indexed once by (position, token), so
     each anchor round counts ``m`` for every candidate from the anchor's
     ``L`` posting lists instead of comparing the anchor with each candidate;
-    a candidate sharing no position scores 0.
+    a candidate sharing no position scores 0. Verb sets are read only in a
+    round with hits, each group's at most once.
     """
     if bucket.length <= BYPASS_LENGTH or len(bucket.groups) <= BYPASS_GROUP_COUNT:
         return [DenseGroup(member_groups=(group,)) for group in bucket.groups], []
@@ -168,6 +173,15 @@ def merge_bucket(
         for slot in enumerate(group.key_tokens):
             postings.setdefault(slot, []).append(index)
     double_length = 2 * bucket.length
+    # Verb sets decide only between an anchor and its hits, so each group's
+    # is looked up the first time it is needed, and once per bucket.
+    verbs: dict[int, set[str]] = {}
+
+    def verbs_of(index: int) -> set[str]:
+        found = verbs.get(index)
+        if found is None:
+            found = verbs[index] = extract_verbs(ordered[index].key)
+        return found
 
     # Indices into ``ordered`` of the groups not merged yet; the next anchor
     # is always the lowest of them.
@@ -184,9 +198,11 @@ def merge_bucket(
         scores = {index: m / (double_length - m) for index, m in matches.items() if index in alive}
         # Candidates missing from ``scores`` score 0, below every grid point.
         tau = select_threshold(sorted(scores.values()), len(alive) - len(scores), config)
+        matched = [anchor]
         hits = sorted(i for i, s in scores.items() if s >= tau)
-        anchor_verbs = extract_verbs(ordered[anchor].key)
-        matched = [anchor] + [i for i in hits if anchor_verbs <= extract_verbs(ordered[i].key)]
+        if hits:
+            anchor_verbs = verbs_of(anchor)
+            matched += [i for i in hits if anchor_verbs <= verbs_of(i)]
         dense.append(
             DenseGroup(
                 member_groups=tuple(ordered[index] for index in matched),
@@ -211,13 +227,14 @@ def merge_bucket(
 
 
 def route(
-    records: Sequence[LogRecord],
+    records: Iterable[tuple[int, str]],
     config: RouterConfig | None = None,
-    skeletons: Sequence[str] | None = None,
+    skeletons: Iterable[str] | None = None,
 ) -> tuple[list[DenseGroup], list[SparseGroup], RoutingStats]:
-    """Partition records into dense and sparse groups.
+    """Partition ``(line_id, content)`` records into dense and sparse groups.
 
-    ``skeletons``, when given, are the masked keys aligned with ``records``.
+    ``skeletons``, when given, are the masked keys aligned with ``records``;
+    without them ``records`` must be a sequence (``group_by_skeleton``).
     Buckets merge in length order, and a failing bucket fails the run with
     its length named.
     """

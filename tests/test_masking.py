@@ -24,6 +24,7 @@ from celerlog.masking import (
     mask_message,
     mask_token,
     skeleton,
+    skeletons,
     strip_header,
 )
 from celerlog.model import ConfigError, LogRecord, RouterConfig
@@ -381,22 +382,48 @@ def reuses_plan(contents):
     return False
 
 
+def masks_like_naive_with_siblings(contents, rng):
+    """Masks each content twice, which leaves its plan, then a sibling of its
+    shape, which must be masked from that plan unless it holds a designated
+    token: a sibling of ``<GGG>`` may be ``<NUM>``, which never takes a plan.
+    Later contents may hit plans that earlier ones left."""
+    _PLAN_CACHE.clear()
+    for content in contents:
+        for _ in range(2):
+            assert skeleton(content) == naive_skeleton(content)
+        assert has_plan(content) == takes_plan(content)
+        similar = sibling(content, rng)
+        if takes_plan(content):
+            assert has_plan(similar) == takes_plan(similar)
+        assert skeleton(similar) == naive_skeleton(similar)
+
+
+class _ScriptedRandom:
+    """Draws the given characters in turn, each from the choices offered."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def choice(self, chars):
+        char = next(self.draws)
+        assert char in chars
+        return char
+
+
 class TestSkeletonAgainstOracle:
     @settings(max_examples=examples(2000), deadline=None)
     @given(message_lists_strategy, st.randoms(use_true_random=False))
     def test_equals_naive_mask_per_token(self, contents, rng):
-        # Later contents may hit plans that earlier ones left. Each content is
-        # masked twice, which leaves its plan, and then a sibling of its shape
-        # must be masked from that plan.
-        _PLAN_CACHE.clear()
-        for content in contents:
-            for _ in range(2):
-                assert skeleton(content) == naive_skeleton(content)
-            assert has_plan(content) == takes_plan(content)
-            similar = sibling(content, rng)
-            if takes_plan(content):
-                assert has_plan(similar)
-            assert skeleton(similar) == naive_skeleton(similar)
+        masks_like_naive_with_siblings(contents, rng)
+
+    def test_sibling_that_is_a_designated_token_takes_no_plan(self):
+        # The example that once failed: the sibling of "<GGG>", which has a
+        # plan, is drawn as "<NUM>", a designated token of the same shape.
+        assert masking._shape("<NUM>") == masking._shape("<GGG>")
+        masks_like_naive_with_siblings(
+            ["<NUM>", "0x0x", "<GGG>"], _ScriptedRandom(["P", "Q", "R", "7", "N", "U", "M"])
+        )
+        assert has_plan("<GGG>") and not has_plan("<NUM>")
 
     @pytest.mark.parametrize(
         "first, second, shared",
@@ -476,6 +503,89 @@ class TestSkeletonAgainstOracle:
             feature,
             settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
         )
+
+
+# Contents for the batch masker: message pieces plus what may break a batch
+# apart, a line break (a CSV field may hold one) and a lone surrogate, which
+# must not fail the batch's encoding, with hex prefixes and runs at either
+# edge, where they meet the line break that joins a batch.
+BATCH_PIECES = st.one_of(MESSAGE_PIECES, st.sampled_from(["\n", "\ud800"]))
+batch_messages_strategy = st.tuples(
+    st.sampled_from(["", "0x", "0X", "0x1f"]),
+    st.lists(BATCH_PIECES, min_size=1, max_size=10).map("".join),
+    st.sampled_from(["", "0x", "0X", "0xA"]),
+).map("".join).filter(str.split)
+
+
+@st.composite
+def batch_lists(draw):
+    """Contents over several small batches, some of them siblings of earlier
+    ones so that later batches hit the plans earlier ones left."""
+    contents = draw(st.lists(batch_messages_strategy, min_size=1, max_size=14))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 8))):
+        contents.insert(rng.randrange(len(contents) + 1), sibling(rng.choice(contents), rng))
+    return contents
+
+
+def _empty_caches():
+    _PLAN_CACHE.clear()
+    _SHAPE_CACHE.clear()
+    _TOKEN_CACHE.clear()
+
+
+class TestSkeletonsAgainstSkeleton:
+    """``skeletons`` against ``skeleton`` per content, each from empty caches."""
+
+    @settings(max_examples=examples(1000), deadline=None)
+    @given(batch_lists())
+    def test_equals_skeleton_per_content(self, contents):
+        _empty_caches()
+        expected = [skeleton(content) for content in contents]
+        plans = {key: plan and plan[0] for key, plan in _PLAN_CACHE.items()}
+        _empty_caches()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(masking, "_BATCH_SIZE", 4)
+            assert list(skeletons(contents)) == expected
+        assert {key: plan and plan[0] for key, plan in _PLAN_CACHE.items()} == plans
+        assert expected == [naive_skeleton(content) for content in contents]
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            lambda contents: len(contents) > 8,
+            lambda contents: any("\n" in c for c in contents[:4]),
+            lambda contents: any("\n" in c for c in contents[4:8])
+            and not any("\n" in c for c in contents[:4]),
+            lambda contents: any("\ud800" in c for c in contents),
+            lambda contents: any(c.startswith(("0x", "0X")) for c in contents),
+            lambda contents: any(c.endswith(("0x", "0X")) for c in contents),
+            lambda contents: any(
+                contents.index(c) != index and takes_plan(c) for index, c in enumerate(contents)
+            ),
+        ],
+        ids=["three-batches", "first-batch-broken", "second-batch-broken", "lone-surrogate",
+             "hex-at-start", "hex-prefix-at-end", "repeated-content"],
+    )
+    def test_generator_covers(self, feature):
+        find(
+            batch_lists(),
+            feature,
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )
+
+    def test_streams_one_batch_at_a_time(self):
+        # The first skeleton comes after one batch is taken, not the input.
+        taken = []
+
+        def contents():
+            for index in range(3 * masking._BATCH_SIZE):
+                taken.append(index)
+                yield f"job {index} done"
+
+        masked = skeletons(contents())
+        assert next(masked) == "job <NUM> done"
+        assert len(taken) == masking._BATCH_SIZE
 
 
 class TestMaskMessage:

@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import celerlog
-from celerlog import llm, pipeline, routing, statistical
+from celerlog import llm, model, pipeline, statistical
 from celerlog.llm import BackendResponse, MockBackend
-from celerlog.masking import mask_message, skeleton
+from celerlog.masking import mask_message, skeletons
 from celerlog.model import (
     SOURCE_LLM,
     SOURCE_ROLLBACK,
@@ -404,11 +404,24 @@ def _checked(check, function):
     return checked
 
 
+def _checked_each(check, function):
+    """``function`` of an iterable, calling ``check`` on each item as it is taken."""
+
+    def checked(items):
+        def taken():
+            for item in items:
+                check(item)
+                yield item
+
+        return function(taken())
+
+    return checked
+
+
 def _check_masking(check, monkeypatch):
-    """Makes masking call ``check(content)`` first at every jobs value:
-    route() masks through its own name in process."""
-    for module, name in ((pipeline, "skeleton"), (routing, "skeleton")):
-        monkeypatch.setattr(module, name, _checked(check, skeleton))
+    """Makes masking call ``check(content)`` first at every jobs value: run()
+    masks through ``pipeline.skeletons`` in process and in its children."""
+    monkeypatch.setattr(pipeline, "skeletons", _checked_each(check, skeletons))
 
 
 def _check_reading(check, monkeypatch):
@@ -433,11 +446,11 @@ def _fails_in_children(parent):
     return check
 
 
-def _note_collector(directory, content):
-    """``pipeline.skeleton`` that leaves a file named for its process and the
+def _note_collector(directory, contents):
+    """``pipeline.skeletons`` that leaves a file named for its process and the
     state of its cyclic collector."""
     (directory / f"{os.getpid()}-{gc.isenabled()}").touch()
-    return skeleton(content)
+    return skeletons(contents)
 
 
 class _CountedContent(str):
@@ -490,26 +503,23 @@ class TestMaskOnPool:
     def test_skeletons_match_serial_masking(self, fork_log, count):
         # Two ranges divide neither odd count evenly; one record is one range.
         lines, _ = make_template_corpus(n_lines=2501, n_templates=15, n_oneoffs=50, seed=21)
-        records = [LogRecord(index, line) for index, line in enumerate(lines[:count])]
-        assert pipeline._mask_forked(records, 2) == [
-            mask_message(record.content)[0] for record in records
-        ]
+        contents = lines[:count]
+        assert pipeline._mask_forked(contents, 2) == [mask_message(line)[0] for line in contents]
         assert fork_log.statuses == ([] if count == 1 else [0])
         assert_clean(fork_log)
 
     @needs_fork
     def test_repeated_skeletons_in_a_range_are_one_object(self):
         # 64 records of one skeleton in two ranges: the parent keeps one object.
-        records = [LogRecord(index, f"event {index} done") for index in range(64)]
-        skeletons = pipeline._mask_forked(records, 2)
-        assert skeletons == ["event <NUM> done"] * 64
-        assert len({id(skeleton) for skeleton in skeletons}) == 1
+        keys = pipeline._mask_forked([f"event {index} done" for index in range(64)], 2)
+        assert keys == ["event <NUM> done"] * 64
+        assert len({id(key) for key in keys}) == 1
 
     @needs_fork
     def test_records_reach_workers_unpickled(self, monkeypatch):
         monkeypatch.setattr(_CountedContent, "pickled", [])
-        records = [LogRecord(index, _CountedContent(f"event {index} done")) for index in range(64)]
-        assert pipeline._mask_forked(records, 2) == ["event <NUM> done"] * 64
+        contents = [_CountedContent(f"event {index} done") for index in range(64)]
+        assert pipeline._mask_forked(contents, 2) == ["event <NUM> done"] * 64
         assert _CountedContent.pickled == []
 
     @needs_fork
@@ -518,10 +528,8 @@ class TestMaskOnPool:
         # A child that fails, a fork or a temporary file refused: the parent
         # masks that range itself.
         lines, _ = make_template_corpus(n_lines=2501, n_templates=15, n_oneoffs=50, seed=21)
-        records = [LogRecord(index, line) for index, line in enumerate(lines)]
         if failure == "child":
-            check = _fails_in_children(os.getpid())
-            monkeypatch.setattr(pipeline, "skeleton", _checked(check, skeleton))
+            _check_masking(_fails_in_children(os.getpid()), monkeypatch)
         else:
 
             def refuse(*args, **kwargs):
@@ -529,9 +537,7 @@ class TestMaskOnPool:
 
             target = {"fork": (os, "fork"), "file": (tempfile, "TemporaryFile")}[failure]
             monkeypatch.setattr(*target, refuse)
-        assert pipeline._mask_forked(records, 2) == [
-            mask_message(record.content)[0] for record in records
-        ]
+        assert pipeline._mask_forked(lines, 2) == [mask_message(line)[0] for line in lines]
         assert len(fork_log.statuses) == (1 if failure == "child" else 0)
         assert all(fork_log.statuses)
         assert_clean(fork_log)
@@ -720,7 +726,7 @@ class TestRun:
         path = write_lines(tmp_path / "in.log", lines)
         notes = tmp_path / "notes"
         notes.mkdir()
-        monkeypatch.setattr(pipeline, "skeleton", partial(_note_collector, notes))
+        monkeypatch.setattr(pipeline, "skeletons", partial(_note_collector, notes))
         collecting = gc.isenabled()
         gc.enable()
         try:
@@ -1060,6 +1066,41 @@ class TestRun:
         assert result.rows[0] == expected[0] and result.rows[-1] == expected[-1]
         assert result.rows[10:20] == expected[10:20]
         assert result.catalog == Counter(row.result.template for row in expected)
+
+    def test_rows_from_the_end_and_slices_keep_their_line_ids(self, tmp_path):
+        lines = ["job 1 done", "job 2 done", "disk full", "job 3 done"]
+        rows = run(write_lines(tmp_path / "in.log", lines), RouterConfig(jobs=1)).rows
+        expected = list(rows)
+        assert [row.line_id for row in expected] == [0, 1, 2, 3]
+        assert rows[-1] == expected[-1] and rows[-4] == expected[0]
+        assert rows[-3:-1] == expected[1:3]
+        assert rows[::-2] == expected[::-2]
+        assert rows[1:100] == expected[1:]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                rows[index]
+
+    @pytest.mark.usefixtures("fork_from_2500")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_builds_no_log_record(self, tmp_path, monkeypatch, fork_log, jobs):
+        # run() holds one string per line, and so do the children it forks.
+        lines, _ = make_template_corpus(n_lines=2500, n_templates=15, n_oneoffs=50, seed=21)
+        path = write_lines(tmp_path / "in.log", lines)
+        run(path, RouterConfig(jobs=1), MockBackend(), out_dir=tmp_path / "expected")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run() built a LogRecord")
+
+        for module in (celerlog, model, pipeline):
+            monkeypatch.setattr(module, "LogRecord", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run(path, RouterConfig(jobs=jobs), MockBackend(), out_dir=tmp_path / "out")
+        # A child that built one would have failed, and its range been redone.
+        assert fork_log.statuses == ([0, 0] if forks(jobs) else [])
+        for name in ("structured.csv", "templates.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "expected" / name
+            ).read_bytes()
 
     def test_record_missing_from_routing_output_raises(self, tmp_path, monkeypatch):
         # route() places every record in one group; a record id dropped from

@@ -246,6 +246,37 @@ class TestMergeBucket:
         assert {s.group.key for s in sparse} == {"ee ff gg hh", "ii jj kk ll"}
 
 
+    def test_dissimilar_bucket_reads_no_verbs(self, monkeypatch):
+        # No group shares a position with another, so no round has a hit and
+        # no verb set decides anything.
+        calls = []
+        monkeypatch.setattr(routing, "extract_verbs", lambda key: calls.append(key) or set())
+        keys = ["aa bb cc dd", "ee ff gg hh", "ii jj kk ll", "mm nn oo pp", "qq rr ss tt"]
+        groups = [make_group(key, [key], [index]) for index, key in enumerate(keys)]
+        dense, sparse = merge_bucket(bucket_by_length(groups)[0], RouterConfig(alpha=1.0))
+        assert len(dense) == len(keys) and sparse == []
+        assert calls == []
+
+    def test_each_verb_set_is_read_once_per_bucket(self, monkeypatch):
+        # Every group scores 0.6 against every other, a hit in every round,
+        # but holds a verb of its own, so each round's anchor stays alone.
+        calls = []
+        extract_verbs = routing.extract_verbs
+        monkeypatch.setattr(
+            routing, "extract_verbs", lambda key: calls.append(key) or extract_verbs(key)
+        )
+        verbs = ["Started", "Opened", "Closed", "Stopped", "Failed"]
+        groups = [
+            make_group(
+                f"{verb} worker on <NUM>", [f"{verb} worker on {n}" for n in range(count)], [count]
+            )
+            for count, verb in enumerate(verbs, 1)
+        ]
+        dense, sparse = merge_bucket(bucket_by_length(groups)[0], RouterConfig(alpha=1.0))
+        assert [len(group.member_groups) for group in dense] == [1] * len(verbs)
+        assert sorted(calls) == sorted(group.key for group in groups)
+
+
 class TestRoute:
     def test_empty_input(self):
         dense, sparse, stats = route([])
