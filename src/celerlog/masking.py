@@ -311,7 +311,8 @@ def _plan(tokens: list[str], masked: list[str]) -> tuple[str, itemgetter]:
 
 
 def _masked(content: str, key: bytes | None) -> str:
-    """The skeleton of a message whose shape is ``key`` if it is ASCII.
+    """The skeleton of a message whose shape, if it is ASCII, is ``key``, or
+    is taken here when ``key`` is None.
 
     Messages of one shape share a plan (module docstring). The first message
     of a shape leaves its key, and the second the plan, so a message whose
@@ -322,6 +323,8 @@ def _masked(content: str, key: bytes | None) -> str:
     if content.isascii() and not (
         "<" in content and any(mask in content for mask in MASK_TOKEN_SET)
     ):
+        if key is None:
+            key = _shape(content)
         plan = _PLAN_CACHE.get(key, False)
         if plan:
             fmt, getter = plan
@@ -342,7 +345,7 @@ def _masked(content: str, key: bytes | None) -> str:
 
 def skeleton(content: str) -> str:
     """The masked skeleton of a message: its masked tokens joined by single spaces."""
-    return _masked(content, _shape(content) if content.isascii() else None)
+    return _masked(content, None)
 
 
 #: Contents that ``skeletons`` shapes in one pass.

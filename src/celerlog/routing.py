@@ -80,9 +80,11 @@ def group_by_skeleton(
     Precomputed skeletons, one per record (another count raises ValueError),
     may be passed in so callers can mask in parallel; otherwise masking
     happens here (``masking.skeletons``), which reads the records a second
-    time, so they must then be a sequence.
+    time, so records that are not a sequence are first read into a list.
     """
     if skeletons is None:
+        if not isinstance(records, Sequence):
+            records = list(records)
         skeletons = masking.skeletons(content for _, content in records)
     by_key: dict[str, tuple[set[str], list[int]]] = {}
     for key, (line_id, content) in zip(skeletons, records, strict=True):
@@ -161,7 +163,7 @@ def merge_bucket(
     each anchor round counts ``m`` for every candidate from the anchor's
     ``L`` posting lists instead of comparing the anchor with each candidate;
     a candidate sharing no position scores 0. Verb sets are read only in a
-    round with hits, each group's at most once.
+    round with hits.
     """
     if bucket.length <= BYPASS_LENGTH or len(bucket.groups) <= BYPASS_GROUP_COUNT:
         return [DenseGroup(member_groups=(group,)) for group in bucket.groups], []
@@ -173,16 +175,6 @@ def merge_bucket(
         for slot in enumerate(group.key_tokens):
             postings.setdefault(slot, []).append(index)
     double_length = 2 * bucket.length
-    # Verb sets decide only between an anchor and its hits, so each group's
-    # is looked up the first time it is needed, and once per bucket.
-    verbs: dict[int, set[str]] = {}
-
-    def verbs_of(index: int) -> set[str]:
-        found = verbs.get(index)
-        if found is None:
-            found = verbs[index] = extract_verbs(ordered[index].key)
-        return found
-
     # Indices into ``ordered`` of the groups not merged yet; the next anchor
     # is always the lowest of them.
     alive = set(range(len(ordered)))
@@ -200,9 +192,10 @@ def merge_bucket(
         tau = select_threshold(sorted(scores.values()), len(alive) - len(scores), config)
         matched = [anchor]
         hits = sorted(i for i, s in scores.items() if s >= tau)
+        # Verb sets decide only between an anchor and its hits.
         if hits:
-            anchor_verbs = verbs_of(anchor)
-            matched += [i for i in hits if anchor_verbs <= verbs_of(i)]
+            anchor_verbs = extract_verbs(ordered[anchor].key)
+            matched += [i for i in hits if anchor_verbs <= extract_verbs(ordered[i].key)]
         dense.append(
             DenseGroup(
                 member_groups=tuple(ordered[index] for index in matched),
@@ -234,7 +227,8 @@ def route(
     """Partition ``(line_id, content)`` records into dense and sparse groups.
 
     ``skeletons``, when given, are the masked keys aligned with ``records``;
-    without them ``records`` must be a sequence (``group_by_skeleton``).
+    without them ``records`` that are not a sequence are read into a list
+    first (``group_by_skeleton``).
     Buckets merge in length order, and a failing bucket fails the run with
     its length named.
     """
